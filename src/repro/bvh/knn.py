@@ -90,7 +90,6 @@ def _count_points_within(
     query_order: str,
     traversal: str,
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """Exact point-in-ball counts on trees with non-degenerate leaves.
 
@@ -126,7 +125,6 @@ def _count_points_within(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
     )
     return counts
 
@@ -142,7 +140,6 @@ def knn_radii(
     query_order: str = "input",
     traversal: str = "single",
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
 
@@ -216,8 +213,7 @@ def knn_radii(
                         query_order=query_order,
                         traversal=traversal,
                         watchdog=watchdog,
-                        backend=backend,
-                    )
+                                    )
                 else:
                     counts = _count_points_within(
                         tree,
@@ -230,7 +226,6 @@ def knn_radii(
                         query_order,
                         traversal,
                         watchdog,
-                        backend,
                     )
                 done = counts >= k
                 satisfied[rows[done]] = True
@@ -298,7 +293,6 @@ def core_distances(
     query_order: str = "input",
     traversal: str = "single",
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
     point, the point itself included (Campello et al.'s ``d_core`` with the
@@ -312,5 +306,4 @@ def core_distances(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
     )

@@ -209,7 +209,6 @@ def for_each_leaf_hit(
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
-    backend=None,
     morton_schedule: np.ndarray | None = None,
     cost_model=None,
     tree_stats=None,
@@ -254,7 +253,8 @@ def for_each_leaf_hit(
     chunk_size:
         Queries advanced per wavefront (``None`` = all at once).  Models
         the device's resident-thread limit and bounds the transient
-        frontier memory; results are identical for any chunking.
+        frontier memory; results are identical for any chunking (see
+        the scope note under ``traversal``).
     query_order:
         ``"input"`` (default) chunks queries in input order; ``"morton"``
         chunks them in Z-curve order for spatial coherence.  Results are
@@ -267,7 +267,15 @@ def for_each_leaf_hit(
         delivered hits and ``distance_evals`` are bit-identical between
         the engines; ``box_tests``/``nodes_visited`` drop (group pruning
         is the point) while new ``group_box_tests``/``box_tests_saved``
-        counters account the aggregated work.  The dual engine requires a
+        counters account the aggregated work.  **Scope**: these
+        invariances (engine, chunking, query order) hold when
+        ``finished_fn`` reads only state the query's own hits update.
+        A ``finished_fn`` fed by *other* queries' hits — Borůvka's
+        component bound in ``boruvka_nn`` — stops queries at
+        schedule-dependent points, so its hits and work counters vary
+        with all three knobs (its MST does not).  The per-kernel table
+        is in ``docs/gpu-model.md`` and is pinned by
+        ``tests/test_kernel_contracts.py``.  The dual engine requires a
         *monotone* ``finished_fn`` (once finished, always finished) —
         true of every early-exit in this codebase — and always schedules
         queries in Morton order (``query_order`` is validated but does
@@ -296,20 +304,7 @@ def for_each_leaf_hit(
         points, so both engines poll it identically).  It aborts the
         traversal by *raising* — the service's deadline enforcement
         threads :meth:`repro.faults.Deadline.check` through here.  A
-        watchdog that returns normally never changes results.  (Under a
-        parallel backend the watchdog is polled between result batches
-        instead of per step — it still aborts the launch by raising.)
-    backend:
-        Execution backend: ``None`` (inherit the device's backend, which
-        defaults to serial), ``"serial"``, ``"process"`` or an
-        :class:`~repro.device.backends.ExecutionBackend` instance.  A
-        parallel backend fans the chunks out over worker processes and
-        replays each chunk's per-step hit batches through ``callback`` in
-        (chunk, step) order — the identical callback sequence the serial
-        engine produces — so results and counters are bit-identical.
-        Traversals carrying cross-chunk state (``finished_fn``,
-        ``component_of``) or fitting in one chunk fall back to the serial
-        path silently.
+        watchdog that returns normally never changes results.
     morton_schedule:
         Optional precomputed Morton permutation for ``queries`` (the
         exact array :func:`query_schedule` would return) — lets callers
@@ -325,10 +320,10 @@ def for_each_leaf_hit(
         predicted frontier sizes.  Both are advisory — they steer the
         scheduling decision only, never any result.
     _chunk_ids:
-        Internal (worker-side) hook: run exactly one chunk over these
-        absolute query ids, bypassing ``query_order`` scheduling.  Used by
-        the process backend to execute a parent-scheduled chunk; results
-        equal the corresponding slice of a full serial traversal.
+        Internal hook: run exactly one chunk over these absolute query
+        ids with a concrete engine, bypassing ``query_order`` scheduling.
+        ``traversal="auto"`` recurses through it once per chunk; results
+        equal the corresponding slice of a full traversal.
 
     Returns
     -------
@@ -376,42 +371,6 @@ def for_each_leaf_hit(
             )
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
-    if _chunk_ids is None:
-        bk = backend if backend is not None else getattr(dev, "backend", None)
-        if bk is not None:
-            from repro.device.backends import coerce_backend
-
-            bk = coerce_backend(bk)
-            if (
-                bk.parallel
-                and finished_fn is None
-                and component_of is None
-                and m > chunk_size
-            ):
-                # Chunk work is independent here (no cross-chunk state),
-                # so the backend runs each chunk in a worker process and
-                # replays the recorded per-step hit batches through
-                # `callback` in (chunk, step) order — the exact serial
-                # sequence.  Counters merge inside the wrapping kernel
-                # span; see repro.device.backends.
-                return bk.run_leaf_hits(
-                    tree,
-                    queries,
-                    eps,
-                    callback,
-                    mask_positions=mask_positions,
-                    device=dev,
-                    kernel_name=kernel_name,
-                    leaf_test_is_distance=leaf_test_is_distance,
-                    chunk_size=chunk_size,
-                    query_order=query_order,
-                    traversal=traversal,
-                    group_size=group_size,
-                    watchdog=watchdog,
-                    morton_schedule=morton_schedule,
-                    cost_model=cost_model,
-                    tree_stats=tree_stats,
-                )
     if watchdog is not None:
         # Thread the watchdog through the finished_fn evaluation points:
         # both engines already consult finished_fn every wavefront step,
@@ -433,10 +392,25 @@ def for_each_leaf_hit(
         from repro.bvh.autotune import choose_engine
 
         gsz = group_size if group_size is not None else DEFAULT_GROUP_SIZE
-        if _chunk_ids is not None:
-            # Worker-side: decide for exactly this chunk, then fall
-            # through to the chosen engine below.
-            ids = np.asarray(_chunk_ids, dtype=np.int64)
+        # Per-chunk dispatch: chunk in Morton order (the dual engine's
+        # chunking — a pure scheduling choice), price each chunk with the
+        # cost model and run the cheaper engine on it.  Chunks run
+        # sequentially, so cross-chunk state (finished_fn closures,
+        # component masks) behaves exactly as in either engine's own
+        # chunk loop.  The watchdog is already composed into finished_fn
+        # above, so the recursive calls must not re-compose it.
+        schedule = (
+            morton_schedule
+            if morton_schedule is not None
+            else query_schedule(queries, "morton")
+        )
+        total = TraversalResult()
+        for chunk_start in range(0, m, chunk_size):
+            chunk_end = min(chunk_start + chunk_size, m)
+            if schedule is not None:
+                ids = np.asarray(schedule[chunk_start:chunk_end], dtype=np.int64)
+            else:
+                ids = np.arange(chunk_start, chunk_end, dtype=np.int64)
             decision = choose_engine(
                 tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
             )
@@ -444,59 +418,29 @@ def for_each_leaf_hit(
             dev.counters.add(
                 "auto_pred_cost_us", int(decision.pred_seconds * 1e6)
             )
-            traversal = decision.engine
-        else:
-            # Per-chunk dispatch: chunk in Morton order (the dual
-            # engine's chunking — a pure scheduling choice), price each
-            # chunk with the cost model and run the cheaper engine on it.
-            # Chunks run sequentially, so cross-chunk state (finished_fn
-            # closures, component masks) behaves exactly as in either
-            # engine's own chunk loop.  The watchdog is already composed
-            # into finished_fn above, so the recursive calls must not
-            # re-compose it.
-            schedule = (
-                morton_schedule
-                if morton_schedule is not None
-                else query_schedule(queries, "morton")
+            sub = for_each_leaf_hit(
+                tree,
+                queries,
+                eps,
+                callback,
+                mask_positions=mask_positions,
+                finished_fn=finished_fn,
+                device=dev,
+                kernel_name=kernel_name,
+                leaf_test_is_distance=leaf_test_is_distance,
+                chunk_size=None,
+                query_order="input",
+                traversal=decision.engine,
+                group_size=group_size,
+                component_of=component_of,
+                node_components=node_components,
+                watchdog=None,
+                _chunk_ids=ids,
             )
-            total = TraversalResult()
-            for chunk_start in range(0, m, chunk_size):
-                chunk_end = min(chunk_start + chunk_size, m)
-                if schedule is not None:
-                    ids = np.asarray(schedule[chunk_start:chunk_end], dtype=np.int64)
-                else:
-                    ids = np.arange(chunk_start, chunk_end, dtype=np.int64)
-                decision = choose_engine(
-                    tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
-                )
-                dev.counters.add(f"auto_{decision.engine}_chunks", 1)
-                dev.counters.add(
-                    "auto_pred_cost_us", int(decision.pred_seconds * 1e6)
-                )
-                sub = for_each_leaf_hit(
-                    tree,
-                    queries,
-                    eps,
-                    callback,
-                    mask_positions=mask_positions,
-                    finished_fn=finished_fn,
-                    device=dev,
-                    kernel_name=kernel_name,
-                    leaf_test_is_distance=leaf_test_is_distance,
-                    chunk_size=None,
-                    query_order="input",
-                    traversal=decision.engine,
-                    group_size=group_size,
-                    component_of=component_of,
-                    node_components=node_components,
-                    watchdog=None,
-                    backend="serial",
-                    _chunk_ids=ids,
-                )
-                total.steps += sub.steps
-                total.leaf_hits += sub.leaf_hits
-                total.frontier_peak = max(total.frontier_peak, sub.frontier_peak)
-            return total
+            total.steps += sub.steps
+            total.leaf_hits += sub.leaf_hits
+            total.frontier_peak = max(total.frontier_peak, sub.frontier_peak)
+        return total
     if traversal == "dual":
         return _dual_leaf_hits(
             tree,
@@ -517,9 +461,10 @@ def for_each_leaf_hit(
             _chunk_ids,
         )
     if _chunk_ids is not None:
-        # Worker-side single-chunk execution: the provided absolute ids
-        # *are* the chunk (the parent already applied the scheduling
-        # permutation), so the loop below runs exactly once over them.
+        # Single-chunk execution (the auto dispatcher's recursion): the
+        # provided absolute ids *are* the chunk (the caller already
+        # applied the scheduling permutation), so the loop below runs
+        # exactly once over them.
         schedule = np.asarray(_chunk_ids, dtype=np.int64)
         m_sched = int(schedule.shape[0])
         chunk_size = max(m_sched, 1)
@@ -748,8 +693,8 @@ def _dual_leaf_hits(
     result = TraversalResult()
     leaf_counter = "distance_evals" if leaf_test_is_distance else "box_tests"
     if _chunk_ids is not None:
-        # Worker-side single-chunk execution: the ids are a slice of the
-        # full Morton schedule the parent computed (the dual engine's
+        # Single-chunk execution (the auto dispatcher's recursion): the
+        # ids are a slice of the full Morton schedule (the dual engine's
         # chunk membership), so one iteration reproduces that chunk.
         schedule = np.asarray(_chunk_ids, dtype=np.int64)
         m_sched = int(schedule.shape[0])
@@ -1125,11 +1070,9 @@ def count_within(
     traversal: str = "single",
     group_size: int | None = None,
     watchdog: Callable[[], None] | None = None,
-    backend=None,
     morton_schedule: np.ndarray | None = None,
     cost_model=None,
     tree_stats=None,
-    _chunk_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
 
@@ -1177,48 +1120,6 @@ def count_within(
             raise ValueError(
                 f"leaf_weights must be ({tree.n_primitives},); got {leaf_weights.shape}"
             )
-    from repro.device.backends import coerce_backend
-
-    bk = coerce_backend(
-        backend if backend is not None else getattr(dev, "backend", None)
-    )
-    eff_chunk = chunk_size if (chunk_size is not None and chunk_size > 0) else m
-    if bk.parallel and _chunk_ids is None and m > eff_chunk:
-        # A query's count (and its stop_at early exit) accumulates
-        # entirely within its own chunk, so chunk counting parallelises
-        # without any cross-chunk state: workers run the exact serial
-        # per-chunk kernel and the parent reassembles the disjoint count
-        # slices.  Results are bit-identical for every knob.
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != tree.dim:
-            raise ValueError(
-                f"queries must be (m, {tree.dim}); got shape {queries.shape}"
-            )
-        if eps < 0 or not np.isfinite(eps):
-            raise ValueError(f"eps must be finite and non-negative; got {eps}")
-        if traversal not in TRAVERSALS:
-            raise ValueError(
-                f"traversal must be one of {TRAVERSALS}; got {traversal!r}"
-            )
-        if mask_positions is not None:
-            mask_positions = np.asarray(mask_positions, dtype=np.int64)
-        return bk.run_count(
-            tree,
-            queries,
-            eps,
-            stop_at=stop_at,
-            mask_positions=mask_positions,
-            device=dev,
-            chunk_size=eff_chunk,
-            leaf_weights=leaf_weights,
-            query_order=query_order,
-            traversal=traversal,
-            group_size=group_size,
-            watchdog=watchdog,
-            morton_schedule=morton_schedule,
-            cost_model=cost_model,
-            tree_stats=tree_stats,
-        )
     if leaf_weights is None:
         counts = np.zeros(m, dtype=np.int64)
 
@@ -1251,10 +1152,8 @@ def count_within(
         traversal=traversal,
         group_size=group_size,
         watchdog=watchdog,
-        backend=bk,
         morton_schedule=morton_schedule,
         cost_model=cost_model,
         tree_stats=tree_stats,
-        _chunk_ids=_chunk_ids,
     )
     return counts

@@ -96,7 +96,6 @@ def fdbscan_densebox(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    backend=None,
     cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
@@ -104,14 +103,11 @@ def fdbscan_densebox(
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
     member weight, and the all-members-core guarantee carries over;
-    ``query_order``/``pair_buffer``/``traversal``/``backend`` are the
-    same output-preserving scheduling levers — both the isolated-point
+    ``query_order``/``pair_buffer``/``traversal`` are the same
+    output-preserving scheduling levers — both the isolated-point
     preprocessing and the mixed-primitive main traversal honour the
     chosen engine, and ``watchdog`` is polled per wavefront step in both
-    traversals).  Under a parallel backend the early-exit preprocessing
-    traversal stays serial (its ``finished_fn`` is stateful across
-    chunks) while the main traversal fans out; labels and counters are
-    bit-identical either way.
+    traversals).
     ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
     ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
@@ -147,10 +143,6 @@ def fdbscan_densebox(
     if traversal is None:
         traversal = index.traversal or "single"
     info["traversal"] = traversal
-    if backend is None:
-        backend = getattr(index, "backend", None)
-    _bk = backend if backend is not None else getattr(dev, "backend", None)
-    info["backend"] = getattr(_bk, "name", _bk) or "serial"
     # The cached Morton schedule is over the indexed points, so it serves
     # the main traversal (whose queries are exactly X); the preprocessing
     # traversal queries the isolated subset and schedules itself.  The
@@ -244,7 +236,6 @@ def fdbscan_densebox(
                 query_order=query_order,
                 traversal=traversal,
                 watchdog=watchdog,
-                backend=backend,
                 cost_model=cost_model,
             )
             is_core[deco.isolated_idx] = counts >= minpts
@@ -331,7 +322,6 @@ def fdbscan_densebox(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
         morton_schedule=main_morton,
         cost_model=cost_model,
     )

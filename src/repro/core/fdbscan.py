@@ -47,7 +47,6 @@ def fdbscan(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    backend=None,
     cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
@@ -109,12 +108,6 @@ def fdbscan(
         Optional zero-argument callable polled once per traversal
         wavefront step in both phases (a deadline's
         :meth:`~repro.faults.Deadline.check`); aborts by raising.
-    backend:
-        Execution backend for both traversal phases (``"serial"``,
-        ``"process"`` or an
-        :class:`~repro.device.backends.ExecutionBackend`); ``None``
-        defers to the index's stored preference, then the device's.
-        Labels and work counters are bit-identical across backends.
     cost_model:
         Fitted cost model feeding ``traversal="auto"``'s per-chunk engine
         choice (duck-typed :class:`repro.obs.fit.FittedCostModel`);
@@ -146,10 +139,6 @@ def fdbscan(
     if traversal is None:
         traversal = index.traversal or "single"
     info["traversal"] = traversal
-    if backend is None:
-        backend = getattr(index, "backend", None)
-    _bk = backend if backend is not None else getattr(dev, "backend", None)
-    info["backend"] = getattr(_bk, "name", _bk) or "serial"
     # Scheduling inputs shared by both phases: the cached Morton schedule
     # (the queries *are* the indexed points here) whenever a Morton order
     # will be used, and the auto chooser's cost model + tree statistics.
@@ -185,7 +174,6 @@ def fdbscan(
             query_order=query_order,
             traversal=traversal,
             watchdog=watchdog,
-            backend=backend,
             morton_schedule=morton_schedule,
             cost_model=cost_model,
             tree_stats=tree_stats,
@@ -214,7 +202,6 @@ def fdbscan(
             query_order=query_order,
             traversal=traversal,
             watchdog=watchdog,
-            backend=backend,
             morton_schedule=morton_schedule,
             cost_model=cost_model,
             tree_stats=tree_stats,
@@ -254,7 +241,6 @@ def fdbscan(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
         morton_schedule=morton_schedule,
         cost_model=cost_model,
         tree_stats=tree_stats,

@@ -10,8 +10,10 @@ reproduction reports alongside wall-clock time:
 - the **kernel trace**   — every batched kernel the algorithms execute is
   wrapped in :meth:`Device.kernel`, which records a per-launch span (name,
   logical thread count, wavefront steps, wall seconds, counter deltas)
-  into a bounded ring, giving a per-phase timing breakdown equivalent to
-  ``nvprof`` (:meth:`Device.profile`, :meth:`Device.trace_snapshot`).
+  into a bounded ring (the timeline, :meth:`Device.trace_snapshot`) and
+  folds it into exact running per-kernel totals (the ``nvprof``-style
+  breakdown, :meth:`Device.profile`, which never loses launches to the
+  ring).
 
 The trace additionally supports **build-cost replay**: a block of work
 (e.g. one BVH construction) recorded with :meth:`Device.recording` can be
@@ -125,12 +127,8 @@ class Device:
     #: span in the shared trace tree, parented under whatever span the
     #: tracer currently has open (a benchmark cell, a driver phase...).
     tracer: object = field(default=None, compare=False)
-    #: Optional default :class:`~repro.device.backends.ExecutionBackend`
-    #: (or its string name): traversal entry points called without an
-    #: explicit ``backend=`` inherit this one.  ``None`` means the serial
-    #: in-process path.
-    backend: object = field(default=None, compare=False)
     _epoch: float = field(init=False, default=0.0)
+    _profile: dict = field(init=False, default_factory=dict, compare=False)
     _kernel_stack: list = field(init=False, default_factory=list, compare=False)
 
     def __post_init__(self):
@@ -186,8 +184,7 @@ class Device:
                 self._kernel_stack[-1] += launch.seconds
             self.counters.add("thread_steps", launch.steps)
             launch.counters = self.counters.diff(before)
-            self.launches.append(launch)
-            self.launches_total += 1
+            self._append(launch)
             if tspan is not None:
                 tspan.attributes["steps"] = launch.steps
                 tspan.attributes.update(
@@ -196,64 +193,6 @@ class Device:
                 tracer.end(tspan)
                 tracer.counter("frontier_peak", self.counters.frontier_peak)
                 tracer.counter("device_live_bytes", self.memory.live_bytes)
-
-    def record_external_launch(
-        self,
-        name: str,
-        threads: int,
-        seconds: float,
-        steps: int = 0,
-        t_start_abs: float | None = None,
-        attributes: dict | None = None,
-    ) -> KernelLaunch:
-        """Append a launch executed in *another process* (a worker lane).
-
-        ``t_start_abs`` is the launch's absolute ``perf_counter`` start in
-        the remote process — CLOCK_MONOTONIC is system-wide per boot, so
-        the parent translates it into its own epoch (the per-worker epoch
-        handshake: workers report their device epoch once at startup and
-        launch starts relative to it).  Without it the launch is laid
-        backwards from "now".
-
-        The lane's ``self_seconds`` is recorded as 0: its wall time runs
-        *in parallel with* (and inside) the parent's wrapping kernel
-        span, so charging it again would break the "sum of self_seconds
-        counts each wall second at most once" trace invariant.  Counter
-        deltas are likewise **not** attached — the parent merges them
-        into its own counters inside the wrapping span, which keeps
-        per-kernel counter totals single-counted (see
-        ``docs/backends.md``).
-        """
-        if t_start_abs is not None:
-            t_start = t_start_abs - self._epoch
-        else:
-            t_start = (time.perf_counter() - self._epoch) - seconds
-        launch = KernelLaunch(
-            name=name,
-            threads=int(threads),
-            seconds=float(seconds),
-            steps=int(steps),
-            t_start=t_start,
-            self_seconds=0.0,
-        )
-        self.launches.append(launch)
-        self.launches_total += 1
-        tracer = self.tracer
-        if tracer is not None:
-            now_rel = time.perf_counter() - self._epoch
-            tracer.add_span(
-                name,
-                category="kernel.worker",
-                t_start=max(tracer.now() - (now_rel - t_start), 0.0),
-                seconds=launch.seconds,
-                attributes={
-                    "device": self.name,
-                    "threads": launch.threads,
-                    "steps": launch.steps,
-                    **(attributes or {}),
-                },
-            )
-        return launch
 
     # -- recording / replay ----------------------------------------------------
 
@@ -313,10 +252,9 @@ class Device:
         tracer = self.tracer
         trace_t = tracer.now() if tracer is not None else 0.0
         for launch in cost.launches:
-            self.launches.append(
+            self._append(
                 replace(launch, counters=dict(launch.counters), t_start=now, replayed=True)
             )
-            self.launches_total += 1
             if tracer is not None:
                 # Replayed spans keep their recorded durations; consecutive
                 # launches are laid end-to-end from the replay instant so
@@ -340,6 +278,39 @@ class Device:
 
     # -- trace views -----------------------------------------------------------
 
+    def _append(self, launch: KernelLaunch) -> None:
+        """Record one launch: into the bounded ring (the timeline) and the
+        running per-kernel totals behind :meth:`profile` (exact however
+        many launches the ring has evicted)."""
+        self.launches.append(launch)
+        self.launches_total += 1
+        entry = self._profile.get(launch.name)
+        if entry is None:
+            entry = self._profile[launch.name] = {
+                "launches": 0,
+                "replayed": 0,
+                "seconds": 0.0,
+                "self_seconds": 0.0,
+                "replayed_seconds": 0.0,
+                "threads": 0,
+                "steps": 0,
+                "counters": {},
+            }
+        entry["launches"] += 1
+        entry["seconds"] += launch.seconds
+        entry["self_seconds"] += launch.self_seconds
+        entry["threads"] += launch.threads
+        entry["steps"] += launch.steps
+        if launch.replayed:
+            entry["replayed"] += 1
+            entry["replayed_seconds"] += launch.seconds
+        totals = entry["counters"]
+        for key, value in launch.counters.items():
+            if key == "frontier_peak":
+                totals[key] = max(totals.get(key, 0), value)
+            else:
+                totals[key] = totals.get(key, 0) + value
+
     @property
     def trace_dropped(self) -> int:
         """Launches evicted from the bounded trace ring."""
@@ -362,7 +333,12 @@ class Device:
         ]
 
     def profile(self) -> dict:
-        """Per-kernel aggregation of the trace (the ``nvprof`` summary view).
+        """Per-kernel totals over every launch (the ``nvprof`` summary view).
+
+        Exact for the device's whole lifetime (since the last
+        :meth:`reset`): the totals are kept running as launches are
+        recorded, so launches the bounded trace ring has evicted
+        (:attr:`trace_dropped`) still count here.
 
         Returns ``{name: {"launches", "replayed", "seconds",
         "self_seconds", "replayed_seconds", "threads", "steps",
@@ -385,35 +361,10 @@ class Device:
         high-watermark, is merged by max) — so counter-per-second rates
         computed within one row are always consistent.
         """
-        out: dict[str, dict] = {}
-        for l in self.launches:
-            entry = out.setdefault(
-                l.name,
-                {
-                    "launches": 0,
-                    "replayed": 0,
-                    "seconds": 0.0,
-                    "self_seconds": 0.0,
-                    "replayed_seconds": 0.0,
-                    "threads": 0,
-                    "steps": 0,
-                    "counters": {},
-                },
-            )
-            entry["launches"] += 1
-            entry["seconds"] += l.seconds
-            entry["self_seconds"] += l.self_seconds
-            entry["threads"] += l.threads
-            entry["steps"] += l.steps
-            if l.replayed:
-                entry["replayed"] += 1
-                entry["replayed_seconds"] += l.seconds
-            for key, value in l.counters.items():
-                if key == "frontier_peak":
-                    entry["counters"][key] = max(entry["counters"].get(key, 0), value)
-                else:
-                    entry["counters"][key] = entry["counters"].get(key, 0) + value
-        return out
+        return {
+            name: {**entry, "counters": dict(entry["counters"])}
+            for name, entry in self._profile.items()
+        }
 
     def reset(self) -> None:
         """Clear counters, memory accounting and the kernel trace."""
@@ -421,14 +372,12 @@ class Device:
         self.memory.reset()
         self.launches.clear()
         self.launches_total = 0
+        self._profile.clear()
         self._epoch = time.perf_counter()
 
     def phase_seconds(self) -> dict[str, float]:
         """Total wall seconds per kernel name (the ``nvprof`` style view)."""
-        out: dict[str, float] = {}
-        for launch in self.launches:
-            out[launch.name] = out.get(launch.name, 0.0) + launch.seconds
-        return out
+        return {name: entry["seconds"] for name, entry in self._profile.items()}
 
     def report(self) -> dict:
         """Combined run report: counters, memory, per-kernel profile."""

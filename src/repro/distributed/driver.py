@@ -66,9 +66,7 @@ from repro.bvh.traversal import count_within, for_each_leaf_hit
 from repro.core.framework import resolve_pairs
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
-from repro.device.backends import coerce_backend
-from repro.device.device import Device, KernelFaultError, default_device
-from repro.device.memory import DeviceMemoryError
+from repro.device.device import Device, default_device
 from repro.device.primitives import run_length_encode
 from repro.distributed.comm import SimulatedComm
 from repro.distributed.partition import rcb_partition, select_ghosts
@@ -179,7 +177,6 @@ def distributed_dbscan(
     tracer=None,
     query_order: str = "input",
     traversal: str = "single",
-    backend=None,
 ) -> DBSCANResult:
     """Cluster ``X`` across ``n_ranks`` simulated ranks.
 
@@ -211,16 +208,6 @@ def distributed_dbscan(
     ``merge`` and ``finalize``); device kernels and comm transmissions
     nest inside the phase that launched them, and every injected fault
     lands on the span that was open when it fired.
-
-    With ``backend="process"`` (or a parallel backend stored on the
-    device/``backend`` argument) each rank becomes a **real OS process**
-    (:class:`~repro.distributed.procranks.RankPool`): rank-local trees
-    and core flags live in the rank process, a plan-driven rank crash is
-    an actual ``SIGKILL``, and recovery re-ships the partition's points
-    and checkpointed core flags to a *surviving* rank process.  Labels,
-    counters and the fault schedule are bit-identical to the simulated
-    path; rank kernel launches appear as ``name@r<rank>`` lanes on the
-    parent device.
     """
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
@@ -245,13 +232,6 @@ def distributed_dbscan(
         clock=clock,
         tracer=tracer,
     )
-    bk = coerce_backend(backend if backend is not None else getattr(dev, "backend", None))
-    pool = None
-    if bk.parallel:
-        from repro.distributed.procranks import RankPool
-
-        pool = RankPool(n_ranks)
-
     root = tr.start(
         "distributed_dbscan",
         category="driver",
@@ -282,59 +262,11 @@ def distributed_dbscan(
         ghosts_shipped = False
         core_checkpointed = False
 
-        def absorb_rank(p: int, out: dict) -> None:
-            """Merge one rank operation's counter delta and kernel lanes.
-
-            Unlike the intra-kernel process backend, rank deltas keep
-            their ``kernel_launches``/``thread_steps`` — in the simulated
-            path the rank kernels launch directly on the shared parent
-            device, so including them is what preserves bit-parity.
-            """
-            rank = executor[p]
-            for key, value in (out.get("counters") or {}).items():
-                if key == "frontier_peak":
-                    dev.counters.observe_peak(key, value)
-                else:
-                    dev.counters.add(key, value)
-            epoch = pool.epochs.get(rank)
-            for rec in out.get("launches") or []:
-                dev.record_external_launch(
-                    f"{rec['name']}@r{rank}",
-                    threads=rec["threads"],
-                    seconds=rec["seconds"],
-                    steps=rec["steps"],
-                    t_start_abs=None if epoch is None else epoch + rec["t_start"],
-                )
-
         def run_attempt(phase_name: str, p: int, fn):
             """Run one partition-phase under the retry policy with device-fault
             injection armed per attempt."""
 
             def attempt(k: int):
-                if pool is not None:
-                    # Rank processes: the parent evaluates the plan's pure
-                    # fault decision and raises *before* dispatching — the
-                    # simulated hook fires at the attempt's first kernel
-                    # launch, before any work is recorded, so the two are
-                    # equivalent (identical retries, logs and counters).
-                    if plan is not None:
-                        kind = plan.device_fault_kind(phase_name, p, attempt=k)
-                        if kind is not None:
-                            plan.record(
-                                kind, phase_name, p, k, detail="rank-process"
-                            )
-                            if kind == "device_oom":
-                                raise DeviceMemoryError(
-                                    0,
-                                    dev.memory.live_bytes,
-                                    dev.memory.capacity_bytes or 0,
-                                    tag="fault-injection",
-                                )
-                            raise KernelFaultError(
-                                f"injected transient fault in rank process "
-                                f"(phase={phase_name}, rank={p}, attempt={k})"
-                            )
-                    return fn()
                 cm = (
                     plan.device_faults(dev, phase_name, p, attempt=k)
                     if plan is not None
@@ -369,8 +301,6 @@ def distributed_dbscan(
                 for r in plan.crashed_ranks(boundary, alive):
                     alive.discard(r)
                     comm.mark_dead(r)
-                    if pool is not None:
-                        pool.kill(r)  # a real SIGKILL: resident state dies
                 for p in range(n_ranks):
                     if executor[p] in alive:
                         continue
@@ -422,42 +352,19 @@ def distributed_dbscan(
             if p in trees:
                 return
 
-            if pool is not None:
-
-                def rebuild():
-                    ids = local_ids_per_rank[p]
-                    n_owned = int(owned_lists[p].shape[0])
-                    out = pool.run(
-                        executor[p],
-                        "rebuild",
-                        {
-                            "partition": p,
-                            "pts": X[ids],
-                            "n_owned": n_owned,
-                            "minpts": minpts,
-                            # the replicated core-flag checkpoint travels
-                            # with the re-shipped points
-                            "core": global_core[ids] if minpts > 2 else None,
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return ("rank" if out["has_tree"] else None, out["local_core"])
-
-            else:
-
-                def rebuild():
-                    ids = local_ids_per_rank[p]
-                    n_owned = owned_lists[p].shape[0]
-                    if n_owned == 0 or ids.shape[0] == 0:
-                        return None, np.zeros(ids.shape[0], dtype=bool)
-                    pts = X[ids]
-                    lo, hi = boxes_from_points(pts)
-                    tree = build_bvh(lo, hi, device=dev)
-                    if minpts > 2:
-                        local_core = global_core[ids].copy()  # the core_flags checkpoint
-                    else:
-                        local_core = np.ones(ids.shape[0], dtype=bool)
-                    return tree, local_core
+            def rebuild():
+                ids = local_ids_per_rank[p]
+                n_owned = owned_lists[p].shape[0]
+                if n_owned == 0 or ids.shape[0] == 0:
+                    return None, np.zeros(ids.shape[0], dtype=bool)
+                pts = X[ids]
+                lo, hi = boxes_from_points(pts)
+                tree = build_bvh(lo, hi, device=dev)
+                if minpts > 2:
+                    local_core = global_core[ids].copy()  # the core_flags checkpoint
+                else:
+                    local_core = np.ones(ids.shape[0], dtype=bool)
+                return tree, local_core
 
             trees[p] = run_attempt("recover_local", p, rebuild)
 
@@ -471,56 +378,29 @@ def distributed_dbscan(
             if minpts > 2 and tree is not None and ids.shape[0] > n_owned:
                 # Idempotent under recovery: these are the checkpointed values.
                 local_core[n_owned:] = global_core[ids[n_owned:]]
-                if pool is not None:
-                    pool.run(
-                        executor[p],
-                        "fill_ghost_core",
-                        {"partition": p, "ghost_core": local_core[n_owned:].copy()},
-                    )
 
-            if pool is not None:
+            def attempt():
+                if tree is None or n_owned == 0:
+                    return np.arange(ids.shape[0], dtype=np.int64)
+                uf = EclUnionFind(ids.shape[0], device=dev)
+                order = tree.order
 
-                def attempt():
-                    if tree is None or n_owned == 0:
-                        return np.arange(ids.shape[0], dtype=np.int64)
-                    out = pool.run(
-                        executor[p],
-                        "main",
-                        {
-                            "partition": p,
-                            "eps": eps,
-                            "kernel_name": f"dist_main_rank{p}",
-                            "query_order": query_order,
-                            "traversal": traversal,
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return out["labels"]
+                def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+                    nbr = order[leaf_pos]
+                    keep = nbr != q_ids  # queries are the first n_owned local rows
+                    resolve_pairs(uf, local_core, q_ids[keep], nbr[keep], dev)
 
-            else:
-
-                def attempt():
-                    if tree is None or n_owned == 0:
-                        return np.arange(ids.shape[0], dtype=np.int64)
-                    uf = EclUnionFind(ids.shape[0], device=dev)
-                    order = tree.order
-
-                    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                        nbr = order[leaf_pos]
-                        keep = nbr != q_ids  # queries are the first n_owned local rows
-                        resolve_pairs(uf, local_core, q_ids[keep], nbr[keep], dev)
-
-                    for_each_leaf_hit(
-                        tree,
-                        X[ids[:n_owned]],
-                        eps,
-                        on_hits,
-                        device=dev,
-                        kernel_name=f"dist_main_rank{p}",
-                        query_order=query_order,
-                        traversal=traversal,
-                    )
-                    return uf.finalize()
+                for_each_leaf_hit(
+                    tree,
+                    X[ids[:n_owned]],
+                    eps,
+                    on_hits,
+                    device=dev,
+                    kernel_name=f"dist_main_rank{p}",
+                    query_order=query_order,
+                    traversal=traversal,
+                )
+                return uf.finalize()
 
             labels_local = run_attempt("main", p, attempt)
             merge_core[p], merge_attach[p] = _merge_payloads(
@@ -537,36 +417,12 @@ def distributed_dbscan(
 
         # --- phase 1: local core determination ------------------------------------
         for p in range(n_ranks):
-            if pool is not None:
 
-                def local_fn(p=p):
-                    out = pool.run(
-                        executor[p],
-                        "local",
-                        {
-                            "partition": p,
-                            "pts": X[local_ids_per_rank[p]],
-                            "n_owned": int(owned_lists[p].shape[0]),
-                            "eps": eps,
-                            "minpts": minpts,
-                            "query_order": query_order,
-                            "traversal": traversal,
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return (
-                        ("rank" if out["has_tree"] else None),
-                        out["owned_core"],
-                        out["local_core"],
-                    )
-
-            else:
-
-                def local_fn(p=p):
-                    return _local_phase(
-                        X, local_ids_per_rank[p], owned_lists[p].shape[0], eps,
-                        minpts, dev, query_order=query_order, traversal=traversal,
-                    )
+            def local_fn(p=p):
+                return _local_phase(
+                    X, local_ids_per_rank[p], owned_lists[p].shape[0], eps,
+                    minpts, dev, query_order=query_order, traversal=traversal,
+                )
 
             tree, owned_core, local_core = run_attempt("local", p, local_fn)
             trees[p] = (tree, local_core)
@@ -651,8 +507,6 @@ def distributed_dbscan(
             "n_ranks": n_ranks,
             "query_order": query_order,
             "traversal": traversal,
-            "backend": bk.name,
-            "rank_processes": pool is not None,
             "owned_per_rank": partition.counts().tolist(),
             "ghosts_per_rank": [int(g.shape[0]) for g in halo.ghosts],
             "alive_ranks": sorted(alive),
@@ -676,6 +530,4 @@ def distributed_dbscan(
         )
     finally:
         dev.tracer = prev_dev_tracer
-        if pool is not None:
-            pool.close()
         tr.end(root)

@@ -305,8 +305,11 @@ def mutual_reachability_mst_boruvka(
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
         omitted.
     traversal / query_order / chunk_size:
-        Scheduling knobs forwarded to the wavefront engine; results are
-        identical for every setting.
+        Scheduling knobs forwarded to the wavefront engine; the MST is
+        identical for every setting.  The ``boruvka_nn`` work counters
+        are not: the component bound that stops a query is fed by other
+        queries' hits, so launches, ``distance_evals`` and ``box_tests``
+        depend on the schedule (see ``docs/gpu-model.md``).
     """
     dev = default_device(device)
     X = np.ascontiguousarray(X, dtype=np.float64)

@@ -42,6 +42,29 @@ class TestTraceRing:
         # oldest evicted first: the ring holds the newest three
         assert [s["name"] for s in dev.trace_snapshot()] == ["k7", "k8", "k9"]
 
+    def test_profile_exact_past_the_ring(self):
+        dev = Device(trace_maxlen=16)
+        for i in range(10_000):
+            _burn(dev, name=f"k{i % 3}", steps=i % 5, evals=i % 7)
+        assert dev.trace_dropped == 10_000 - 16
+        prof = dev.profile()
+        assert sum(e["launches"] for e in prof.values()) == dev.launches_total
+        assert prof["k0"]["launches"] == 3334
+        # Launch deltas exclude the launch's own kernel_launches tick (it
+        # lands before the span's counter snapshot); every other counter
+        # sums across kernels to the device total.
+        totals = {}
+        for entry in prof.values():
+            for key, value in entry["counters"].items():
+                totals[key] = totals.get(key, 0) + value
+        expected = dict(dev.counters.snapshot())
+        assert expected.pop("kernel_launches") == dev.launches_total
+        assert {k: v for k, v in expected.items() if v} == {
+            k: v for k, v in totals.items() if v
+        }
+        assert totals["distance_evals"] == sum(i % 7 for i in range(10_000))
+        assert dev.phase_seconds() == {k: e["seconds"] for k, e in prof.items()}
+
     def test_profile_aggregates_by_name(self, device):
         _burn(device, name="a", threads=10, steps=1)
         _burn(device, name="a", threads=20, steps=2)

@@ -1,5 +1,11 @@
 """Randomised differential tests: every algorithm against the oracle on
-generated inputs, plus the minpts=2 equivalence with graph components."""
+generated inputs, plus the minpts=2 equivalence with graph components.
+
+The tree algorithms run under every traversal engine (``single``,
+``dual``, ``auto``) against the brute-force oracle, on random
+mixed-density data and on adversarial inputs: exact duplicates,
+collinear sets, points on Morton quantisation boundaries, and fewer
+points than ``min_samples``."""
 
 import networkx as nx
 import numpy as np
@@ -9,9 +15,12 @@ from hypothesis import strategies as st
 
 from repro import dbscan
 from repro.baselines import brute_dbscan, sequential_dbscan
+from repro.bvh.morton import bits_per_axis
 from repro.metrics.equivalence import assert_dbscan_equivalent
 
 PARALLEL_ALGORITHMS = ["fdbscan", "densebox", "gdbscan", "cuda-dclust", "dsdbscan"]
+TREE_ALGORITHMS = ["fdbscan", "densebox"]
+TRAVERSALS = ["single", "dual", "auto"]
 
 
 def _random_dataset(seed, d=2):
@@ -44,24 +53,26 @@ class TestRandomisedDifferential:
         seed=st.integers(0, 10_000),
         eps=st.floats(0.05, 0.8),
         minpts=st.integers(1, 12),
+        traversal=st.sampled_from(TRAVERSALS),
     )
     @settings(max_examples=30, deadline=None)
-    def test_fdbscan_hypothesis(self, seed, eps, minpts):
+    def test_fdbscan_hypothesis(self, seed, eps, minpts, traversal):
         X = _random_dataset(seed)
         base = sequential_dbscan(X, eps, minpts)
-        res = dbscan(X, eps, minpts, algorithm="fdbscan")
+        res = dbscan(X, eps, minpts, algorithm="fdbscan", traversal=traversal)
         assert_dbscan_equivalent(base, res, X, eps)
 
     @given(
         seed=st.integers(0, 10_000),
         eps=st.floats(0.05, 0.8),
         minpts=st.integers(1, 12),
+        traversal=st.sampled_from(TRAVERSALS),
     )
     @settings(max_examples=30, deadline=None)
-    def test_densebox_hypothesis(self, seed, eps, minpts):
+    def test_densebox_hypothesis(self, seed, eps, minpts, traversal):
         X = _random_dataset(seed)
         base = sequential_dbscan(X, eps, minpts)
-        res = dbscan(X, eps, minpts, algorithm="densebox")
+        res = dbscan(X, eps, minpts, algorithm="densebox", traversal=traversal)
         assert_dbscan_equivalent(base, res, X, eps)
 
     @given(seed=st.integers(0, 10_000), eps=st.floats(0.05, 0.5))
@@ -73,6 +84,92 @@ class TestRandomisedDifferential:
         a = sequential_dbscan(X, eps, 5)
         b = brute_dbscan(X, eps, 5)
         assert_dbscan_equivalent(a, b, X, eps)
+
+
+def _duplicates(d):
+    """Stacks of exact duplicates: a stack alone reaches ``min_samples``,
+    a short stack only with its neighbours, and a lone duplicate pair
+    stays noise."""
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(0, 3, size=(6, d))
+    sizes = [12, 4, 4, 2, 1, 1]
+    X = np.concatenate([np.repeat(c[None], k, axis=0) for c, k in zip(centres, sizes)])
+    near = centres[1] + 0.05  # within eps of the second stack only
+    return np.concatenate([X, near[None], near[None], rng.uniform(0, 3, size=(20, d))])
+
+
+def _collinear(d):
+    """Points on one line (flat in every other axis), with gaps either
+    comfortably inside or outside eps, so chains split deterministically."""
+    rng = np.random.default_rng(9)
+    gaps = np.where(rng.uniform(size=80) < 0.8, 0.09, 0.13)
+    t = np.cumsum(gaps)
+    direction = np.ones(d) / np.sqrt(d) if d == 3 else np.eye(d)[0]
+    return t[:, None] * direction[None, :]
+
+
+def _morton_boundaries(d):
+    """Chains straddling the coarsest Morton splits of the unit scene.
+
+    Quantisation maps ``u`` to ``floor(u * (2**bits - 1) + 0.5)``, so the
+    split between cells ``c - 1`` and ``c`` sits at ``(c - 0.5) / scale``.
+    Points sit exactly on, and one ulp either side of, the splits of the
+    first three tree levels, plus chains crossing each split within eps.
+    """
+    bits = bits_per_axis(d)
+    scale = float(2**bits - 1)
+    splits = [
+        (m * 2 ** (bits - level) - 0.5) / scale
+        for level in (1, 2, 3)
+        for m in range(1, 2**level, 2)
+    ]
+    rows = [np.zeros(d), np.ones(d)]  # pin the scene bounds to [0, 1]
+    for b in splits:
+        for x in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0)):
+            rows.append(np.full(d, 0.5))
+            rows[-1][0] = x
+        for k in range(-3, 4):
+            p = np.full(d, b)
+            p[0] = b + k * 0.045
+            rows.append(p)
+    return np.clip(np.array(rows), 0.0, 1.0)
+
+
+ADVERSARIAL = {
+    "duplicates": (_duplicates, 0.1, 5),
+    "collinear": (_collinear, 0.1, 3),
+    "morton-boundaries": (_morton_boundaries, 0.05, 3),
+    "fewer-than-minpts": (lambda d: np.random.default_rng(3).uniform(size=(4, d)), 0.5, 5),
+    "single-point": (lambda d: np.zeros((1, d)), 0.1, 2),
+}
+
+
+class TestEnginesAgainstOracle:
+    """Every traversal engine of both tree algorithms against the
+    brute-force oracle."""
+
+    @pytest.mark.parametrize("traversal", TRAVERSALS)
+    @pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mixed_density_inputs(self, traversal, algorithm, seed, d):
+        X = _random_dataset(seed, d)
+        base = brute_dbscan(X, 0.2, 5)
+        res = dbscan(X, 0.2, 5, algorithm=algorithm, traversal=traversal)
+        assert_dbscan_equivalent(base, res, X, 0.2)
+
+    @pytest.mark.parametrize("traversal", TRAVERSALS)
+    @pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_adversarial_inputs(self, traversal, algorithm, case, d):
+        make, eps, minpts = ADVERSARIAL[case]
+        X = make(d)
+        base = brute_dbscan(X, eps, minpts)
+        res = dbscan(X, eps, minpts, algorithm=algorithm, traversal=traversal)
+        assert_dbscan_equivalent(base, res, X, eps)
+        if X.shape[0] < minpts:
+            assert res.n_clusters == 0 and (res.labels == -1).all()
 
 
 class TestFriendsOfFriends:
