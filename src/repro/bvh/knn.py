@@ -2,22 +2,24 @@
 
 The hierarchical variant (HDBSCAN, built on the paper's DBSCAN* — Section
 2.1) needs each point's *core distance*: the distance to its ``k``-th
-nearest neighbour.  ArborX ships a kNN traversal next to its radius
-search; here the batched equivalent is an **expanding-radius search**, a
-formulation that reuses the wavefront radius machinery unchanged:
+nearest neighbour.  ArborX ships a nearest search whose per-query bound
+only shrinks; the batched equivalent here is a **certified per-query
+bound plus one radius gather**:
 
-1. start from a density-based radius guess and run the early-terminated
-   *count* kernel; queries with fewer than ``k`` neighbours double their
-   radius and repeat (every round is one batched traversal of only the
-   unsatisfied queries);
-2. with a per-query sufficient radius known, one gather traversal
-   collects (query, distance) pairs, and a segmented selection extracts
-   the ``k``-th smallest per query.
+1. **window bound** — each query takes the ``2k+1`` primitives around its
+   place in the tree's Morton-sorted leaf order (placed by the Morton
+   code of its position, quantised with the root box, so a primitive
+   lands among its own duplicates).  Any ``k`` primitives bound the
+   ``k``-th-nearest distance from above, so the window's ``k``-th
+   smallest distance is a certified search radius — and Z-curve
+   neighbours are mostly spatial neighbours, so it is tight;
+2. **gather** — a wavefront traversal at those per-query radii collects
+   (query, distance) pairs, and a segmented selection extracts the
+   ``k``-th smallest per query, one block of ``chunk_size`` queries at a
+   time.
 
-The expected number of rounds is O(1) for any density regime (each round
-multiplies the searched volume by ``2^d``), and transient memory stays
-proportional to the final gather, which the radius bound keeps within a
-constant factor of ``k`` per query in bounded-density data.
+Each query's radius is its own, so each query's gather hits are
+independent of chunking, query order and engine.
 
 Distances are always measured to the *primitive coordinates*: for trees
 whose leaves are zero-extent point boxes those coincide with the leaf
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within, for_each_leaf_hit
+from repro.bvh.morton import morton_codes
+from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, ROUND_UP, for_each_leaf_hit
 from repro.bvh.tree import BVH
 from repro.device.device import Device, default_device
-from repro.device.primitives import scatter_add
 
 
 def _initial_radius(tree: BVH, k: int) -> float:
@@ -79,54 +81,29 @@ def _points_by_position(tree: BVH, points: np.ndarray | None) -> np.ndarray:
     return points[tree.order]
 
 
-def _count_points_within(
-    tree: BVH,
-    queries: np.ndarray,
-    pts_by_pos: np.ndarray,
-    r: float,
-    stop_at: int,
-    device: Device,
-    chunk_size: int | None,
-    query_order: str,
-    traversal: str,
-    watchdog=None,
+#: Window distance evaluations computed per vectorised block; bounds the
+#: ``(block, 2k+1, d)`` scratch of the window bound for any ``m`` and ``k``.
+_WINDOW_BLOCK_PAIRS = 1 << 18
+
+
+def _window_radii(
+    tree: BVH, queries: np.ndarray, pts_by_pos: np.ndarray, positions: np.ndarray, k: int
 ) -> np.ndarray:
-    """Exact point-in-ball counts on trees with non-degenerate leaves.
-
-    ``count_within`` counts *leaf-box* hits, which over-counts true point
-    neighbours when leaves have extent; this variant re-tests every leaf
-    hit against the primitive coordinate so the expanding-radius loop
-    never declares a query satisfied on box geometry alone.
-    """
-    m = queries.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    r2 = r * r
-
-    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-        diff = queries[q_ids] - pts_by_pos[leaf_pos]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        device.counters.add("distance_evals", q_ids.shape[0])
-        within = d2 <= r2
-        scatter_add(counts, q_ids[within], counters=device.counters)
-
-    def finished(ids: np.ndarray) -> np.ndarray:
-        return counts[ids] >= stop_at
-
-    for_each_leaf_hit(
-        tree,
-        queries,
-        r,
-        on_hits,
-        finished_fn=finished,
-        device=device,
-        kernel_name="knn_count_exact",
-        leaf_test_is_distance=False,
-        chunk_size=chunk_size,
-        query_order=query_order,
-        traversal=traversal,
-        watchdog=watchdog,
-    )
-    return counts
+    """Certified per-query search radius: the ``k``-th smallest distance
+    to the ``2k+1`` primitives around each query's sorted position (the
+    whole set when it is smaller), rounded up for the engine's squared
+    test."""
+    n = tree.n_primitives
+    width = min(2 * k + 1, n)
+    lo = np.clip(positions - k, 0, n - width)
+    kth = np.empty(queries.shape[0], dtype=np.float64)
+    block = max(1, _WINDOW_BLOCK_PAIRS // width)
+    for s in range(0, queries.shape[0], block):
+        window = lo[s : s + block, None] + np.arange(width)
+        diff = queries[s : s + block, None, :] - pts_by_pos[window]
+        d2 = np.einsum("mwd,mwd->mw", diff, diff)
+        kth[s : s + block] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    return np.sqrt(kth) * ROUND_UP
 
 
 def knn_radii(
@@ -136,7 +113,6 @@ def knn_radii(
     device: Device | None = None,
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     points: np.ndarray | None = None,
-    initial_radius: np.ndarray | float | None = None,
     query_order: str = "input",
     traversal: str = "single",
     watchdog=None,
@@ -149,124 +125,88 @@ def knn_radii(
 
     Parameters
     ----------
+    chunk_size:
+        Queries gathered per traversal launch (``None`` or ``<= 0``: all
+        at once); bounds the (query, distance) pairs held for the
+        selection.  Each query searches at its own radius, so the hits
+        do not depend on it.
     points:
         ``(n_primitives, d)`` primitive coordinates in the caller's
         numbering.  Required when the tree's leaf boxes have extent;
         optional (and bit-neutral) for point-leaf trees.
-    initial_radius:
-        Warm-start search radius — a scalar or per-query ``(m,)`` array.
-        Must not exceed each query's true k-th neighbour distance is NOT
-        required; any positive value is correct (undersized radii just
-        spend extra doubling rounds).  Defaults to the density estimate.
     watchdog:
-        Optional zero-argument callable polled once per traversal
-        wavefront step across every counting round and the gather phase;
-        aborts by raising (deadline enforcement).
+        Optional zero-argument callable polled once per gather wavefront
+        step; aborts by raising (deadline enforcement).
 
     Returns the ``(m,)`` float64 radii.
     """
-    dev = default_device(device)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    m = queries.shape[0]
+    if queries.ndim != 2 or queries.shape[1] != tree.dim:
+        raise ValueError(
+            f"queries must be (m, {tree.dim}); got shape {queries.shape}"
+        )
     if k < 1:
         raise ValueError(f"k must be >= 1; got {k}")
     if k > tree.n_primitives:
         raise ValueError(
             f"k={k} exceeds the number of primitives ({tree.n_primitives})"
         )
+    m = queries.shape[0]
     if m == 0:
         return np.zeros(0, dtype=np.float64)
+    dev = default_device(device)
     pts_by_pos = _points_by_position(tree, points)
-    n_int = tree.n_internal
-    degenerate_leaves = np.array_equal(tree.node_lo[n_int:], tree.node_hi[n_int:])
+    degenerate_leaves = np.array_equal(
+        tree.node_lo[tree.n_internal :], tree.node_hi[tree.n_internal :]
+    )
+    with dev.kernel("knn_window", threads=m):
+        # Place each query in the sorted leaf order by its Morton code,
+        # quantised with the root box (queries outside it clamp to its
+        # faces).  Any placement gives a certified bound; this one puts
+        # the window among the query's Z-curve neighbours.
+        codes = morton_codes(
+            queries, tree.node_lo[tree.root], tree.node_hi[tree.root]
+        )
+        positions = np.searchsorted(tree.codes, codes)
+        radius = _window_radii(tree, queries, pts_by_pos, positions, k)
+        dev.counters.add("distance_evals", m * min(2 * k + 1, tree.n_primitives))
 
-    # --- phase 1: expanding-radius counting -------------------------------
-    if initial_radius is None:
-        radius = np.full(m, _initial_radius(tree, k), dtype=np.float64)
-    else:
-        radius = np.broadcast_to(
-            np.asarray(initial_radius, dtype=np.float64), (m,)
-        ).copy()
-        if not np.all(radius > 0):
-            raise ValueError("initial_radius entries must be positive")
-    satisfied = np.zeros(m, dtype=bool)
-    with dev.kernel("knn_expand", threads=m) as launch:
-        rounds = 0
-        while not satisfied.all():
-            rounds += 1
-            pending = np.flatnonzero(~satisfied)
-            # The count kernel takes one radius per batch; pending queries
-            # may carry distinct radii (warm starts, uneven doubling), so
-            # group them by radius value — with the default uniform start
-            # this is exactly one group per round.
-            pending_r = radius[pending]
-            for r in np.unique(pending_r):
-                rows = pending[pending_r == r]
-                if degenerate_leaves:
-                    counts = count_within(
-                        tree,
-                        queries[rows],
-                        float(r),
-                        stop_at=k,
-                        device=dev,
-                        chunk_size=chunk_size,
-                        query_order=query_order,
-                        traversal=traversal,
-                        watchdog=watchdog,
-                                    )
-                else:
-                    counts = _count_points_within(
-                        tree,
-                        queries[rows],
-                        pts_by_pos,
-                        float(r),
-                        k,
-                        dev,
-                        chunk_size,
-                        query_order,
-                        traversal,
-                        watchdog,
-                    )
-                done = counts >= k
-                satisfied[rows[done]] = True
-                radius[rows[~done]] *= 2.0
-        launch.steps = rounds
-
-    # --- phase 2: gather + segmented k-th smallest --------------------------
-    # Queries may have very different final radii; gather in chunks to
-    # bound the transient pair set.
-    out = np.empty(m, dtype=np.float64)
-    order = np.argsort(radius, kind="stable")  # group similar radii
+    # Gather ``chunk_size`` queries per launch and select their k-th
+    # distances before the next launch, so the held pair set is bounded
+    # by the block, not by m.  The pairs are charged to the memory model
+    # as transient scratch under the "knn_pairs" tag.
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
-    with dev.kernel("knn_gather", threads=m):
-        for start in range(0, m, chunk_size):
-            rows = order[start : start + chunk_size]
-            r = float(radius[rows].max())
-            q_pts = queries[rows]
-            collected_q: list[np.ndarray] = []
-            collected_d: list[np.ndarray] = []
+    out = np.empty(m, dtype=np.float64)
+    for start in range(0, m, chunk_size):
+        rows = slice(start, min(start + chunk_size, m))
+        q_pts = queries[rows]
+        collected_q: list[np.ndarray] = []
+        collected_d: list[np.ndarray] = []
+        held = [0]
 
-            def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                # Distance to the primitive coordinate itself — leaf-box
-                # geometry (centres) ranks wrong the moment a leaf has
-                # extent, and the k-th selection below needs true point
-                # distances.
-                diff = q_pts[q_ids] - pts_by_pos[leaf_pos]
-                # q_ids is a pool-backed view only valid during the call;
-                # copy because the gather holds it across steps.
-                collected_q.append(q_ids.copy())
-                collected_d.append(np.einsum("ij,ij->i", diff, diff))
-                if not degenerate_leaves:
-                    dev.counters.add("distance_evals", q_ids.shape[0])
+        def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+            # Distance to the primitive coordinate itself — leaf-box
+            # geometry ranks wrong the moment a leaf has extent.
+            diff = q_pts[q_ids] - pts_by_pos[leaf_pos]
+            # q_ids is a pool-backed view only valid during the call;
+            # copy because the gather holds it across steps.
+            collected_q.append(q_ids.astype(np.int64))
+            collected_d.append(np.einsum("ij,ij->i", diff, diff))
+            held[0] += dev.memory.allocate(
+                q_ids.shape[0] * 16, "knn_pairs", transient=True
+            )
+            if not degenerate_leaves:
+                dev.counters.add("distance_evals", q_ids.shape[0])
 
+        try:
             for_each_leaf_hit(
                 tree,
                 q_pts,
-                r,
+                radius[rows],
                 on_hits,
                 device=dev,
-                kernel_name="knn_gather_chunk",
+                kernel_name="knn_gather",
                 leaf_test_is_distance=degenerate_leaves,
                 chunk_size=None,
                 query_order=query_order,
@@ -277,11 +217,10 @@ def knn_radii(
             ds = np.concatenate(collected_d)
             # segmented k-th smallest: lexsort by (query, distance)
             sel = np.lexsort((ds, qs))
-            qs_sorted = qs[sel]
-            ds_sorted = ds[sel]
-            starts = np.searchsorted(qs_sorted, np.arange(rows.shape[0]))
-            kth = ds_sorted[starts + (k - 1)]
-            out[rows] = np.sqrt(kth)
+            starts = np.searchsorted(qs[sel], np.arange(q_pts.shape[0]))
+            out[rows] = np.sqrt(ds[sel][starts + (k - 1)])
+        finally:
+            dev.memory.free(held[0], "knn_pairs")
     return out
 
 

@@ -124,14 +124,21 @@ def build_query_bvh(
     points: np.ndarray,
     mask: np.ndarray | None,
     group_size: int,
-    eps: float,
+    eps: float | np.ndarray,
     pool,
 ) -> QueryBVH:
     """Build the query BVH over one chunk's Morton-sorted query points.
 
     ``points`` are the chunk's queries in schedule (Morton) order;
     ``mask`` the matching traversal-mask positions (or ``None``);
-    ``eps`` feeds the density-adaptive leaf rule only (never results).
+    ``eps`` — a scalar, or the members' radii in chunk order — feeds the
+    leaf rule only (never results).  With one shared radius, a node is a
+    leaf at ``group_size`` members or when it is dense (see
+    :data:`DENSE_LEAF_EXT_FRACTION`).  With per-member radii, a node is a
+    leaf at one member, or at ``group_size`` members whose box edge is at
+    most their smallest radius: a group wider than a member's radius
+    shares little of that member's reach, so the group test prunes
+    nothing for it while every member pays the fringe re-tests.
     The build is a pure function of its inputs — same chunk, same
     hierarchy.  Output arrays are views into ``pool`` slots (grown once,
     reused per chunk).
@@ -141,7 +148,9 @@ def build_query_bvh(
     dense_cap = group_size * DENSE_LEAF_CAP_FACTOR
     # group_size=1 means "degenerate to per-query traversal": the dense
     # rule is disabled so every leaf holds exactly one query.
-    dense_ext = DENSE_LEAF_EXT_FRACTION * float(eps) if group_size > 1 else -1.0
+    per_member = np.ndim(eps) > 0
+    if not per_member:
+        dense_ext = DENSE_LEAF_EXT_FRACTION * float(eps) if group_size > 1 else -1.0
 
     # Level-by-level construction over a *tiling* of [0, cn): every
     # segment is owned by a node (finalised leaves stay in the tiling so
@@ -174,7 +183,11 @@ def build_query_bvh(
         n_hi = seg_hi[new]
         n_ext = (n_hi - n_lo).max(axis=1)
         n_cnt = ends[new] - starts[new]
-        leaf = (n_cnt <= group_size) | ((n_ext <= dense_ext) & (n_cnt <= dense_cap))
+        if per_member:
+            r_min = np.minimum.reduceat(eps, starts)[new]
+            leaf = (n_cnt <= 1) | ((n_cnt <= group_size) & (n_ext <= r_min))
+        else:
+            leaf = (n_cnt <= group_size) | ((n_ext <= dense_ext) & (n_cnt <= dense_cap))
 
         lo_l.append(n_lo)
         hi_l.append(n_hi)

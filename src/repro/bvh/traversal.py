@@ -41,6 +41,12 @@ result:
   The hit stream per query is unchanged (only the chunk membership
   moves), so every derived result is identical.
 
+The search radius is a scalar or one radius per query (``eps`` as an
+``(m,)`` array): each frontier row tests against its own query's
+squared radius.  The kNN gather searches every query at its own
+certified bound, and each Borůvka sweep searches every point at its own
+component-capped radius in one launch.
+
 A second engine, ``traversal="dual"`` (:func:`_dual_leaf_hits`),
 aggregates Morton-adjacent queries into a density-adaptive query-side BVH
 (:mod:`repro.bvh.qgroups`) and advances *(query node, tree node)* pairs
@@ -79,8 +85,9 @@ QUERY_ORDERS = ("input", "morton")
 #: per query; ``"dual"`` aggregates Morton-adjacent queries into a query
 #: BVH and prunes whole query nodes per tree node (see
 #: :func:`_dual_leaf_hits`); ``"auto"`` picks single or dual *per chunk*
-#: from the cost model's predicted work (see :mod:`repro.bvh.autotune`) —
-#: a pure scheduling choice, results are bit-identical regardless.
+#: from the cost model's predicted work (see :mod:`repro.bvh.autotune`;
+#: chunks with per-query radii or a component mask run single) — a pure
+#: scheduling choice, results are bit-identical regardless.
 TRAVERSALS = ("single", "dual", "auto")
 
 
@@ -110,6 +117,13 @@ class TraversalResult:
 #: bounds the frontier, keeping transient memory proportional to the chunk's
 #: neighbourhood mass rather than the whole dataset's.
 DEFAULT_CHUNK_SIZE = 8192
+
+#: Factor a caller applies to a search radius derived from computed
+#: distances.  The engine tests ``d2 <= eps * eps``, and in float64
+#: ``sqrt(d2) <= r`` does not imply ``d2 <= r * r``; nor do two formulas
+#: for one squared distance agree in the last bits.  Four machine
+#: epsilons on the radius (about eight on its square) cover both.
+ROUND_UP = 1.0 + 4.0 * np.finfo(np.float64).eps
 
 
 class _FrontierPool:
@@ -195,7 +209,7 @@ def query_schedule(queries: np.ndarray, query_order: str) -> np.ndarray | None:
 def for_each_leaf_hit(
     tree: BVH,
     queries: np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     callback: LeafCallback,
     mask_positions: np.ndarray | None = None,
     finished_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -223,9 +237,13 @@ def for_each_leaf_hit(
     queries:
         ``(m, d)`` query centres; each is searched with radius ``eps``.
     eps:
-        Search radius; a leaf is *hit* when the minimum distance from the
-        query to the leaf's box is ``<= eps``.  For degenerate (point)
-        leaves this is the exact point-distance predicate.
+        Search radius, a scalar or one radius per query as an ``(m,)``
+        array; a leaf is *hit* when the squared minimum distance from the
+        query to the leaf's box is ``<= eps * eps`` (the query's own
+        ``eps``).  For degenerate (point) leaves this is the exact
+        point-distance predicate.  A caller deriving a radius ``r`` from
+        computed distances must round it up (``r * ROUND_UP``): in
+        float64, ``sqrt(d2) <= r`` does not imply ``d2 <= r * r``.
     callback:
         ``callback(query_ids, leaf_positions)`` invoked once per wavefront
         step with the step's hits.  ``leaf_positions`` are *sorted* leaf
@@ -343,10 +361,25 @@ def for_each_leaf_hit(
         raise ValueError(
             f"queries must be (m, {tree.dim}); got shape {queries.shape}"
         )
-    if eps < 0 or not np.isfinite(eps):
-        raise ValueError(f"eps must be finite and non-negative; got {eps}")
     m = queries.shape[0]
-    eps2 = float(eps) * float(eps)
+    # Per-query radii travel as ``q_eps2`` (one squared radius per query
+    # id); a scalar keeps ``q_eps2 = None`` and the scalar compare below.
+    q_eps2 = None
+    if np.ndim(eps) > 0:
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.shape != (m,):
+            raise ValueError(f"eps must be a scalar or ({m},); got shape {eps.shape}")
+        if not (np.isfinite(eps).all() and (eps >= 0).all()):
+            raise ValueError("eps entries must be finite and non-negative")
+        if m and eps.min() < eps.max():
+            q_eps2 = eps * eps
+        else:
+            # One shared radius is the scalar search, grouped and priced
+            # exactly as a scalar ``eps`` would be.
+            eps = float(eps[0]) if m else 0.0
+    elif eps < 0 or not np.isfinite(eps):
+        raise ValueError(f"eps must be finite and non-negative; got {eps}")
+    eps2 = float(eps) * float(eps) if q_eps2 is None else float(q_eps2.max())
     n_int = tree.n_internal
     result = TraversalResult()
     if m == 0:
@@ -411,13 +444,23 @@ def for_each_leaf_hit(
                 ids = np.asarray(schedule[chunk_start:chunk_end], dtype=np.int64)
             else:
                 ids = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            decision = choose_engine(
-                tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
-            )
-            dev.counters.add(f"auto_{decision.engine}_chunks", 1)
-            dev.counters.add(
-                "auto_pred_cost_us", int(decision.pred_seconds * 1e6)
-            )
+            if component_of is None and q_eps2 is None:
+                decision = choose_engine(
+                    tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
+                )
+                engine, pred_seconds = decision.engine, decision.pred_seconds
+            else:
+                # The cost model prices one shared radius in open space.
+                # Per-query radii (the kNN gather, Borůvka) sit at
+                # neighbour scale, far below a query group's extent, and
+                # the component mask prunes most of a Borůvka sweep before
+                # any distance test: on both the dual engine's query BVH
+                # build and fringe re-tests never paid off (ngsim n=4,000:
+                # Borůvka 0.85 s against single's 0.27 s, kNN gather
+                # 0.10 s against 0.02 s).
+                engine, pred_seconds = "single", 0.0
+            dev.counters.add(f"auto_{engine}_chunks", 1)
+            dev.counters.add("auto_pred_cost_us", int(pred_seconds * 1e6))
             sub = for_each_leaf_hit(
                 tree,
                 queries,
@@ -430,7 +473,7 @@ def for_each_leaf_hit(
                 leaf_test_is_distance=leaf_test_is_distance,
                 chunk_size=None,
                 query_order="input",
-                traversal=decision.engine,
+                traversal=engine,
                 group_size=group_size,
                 component_of=component_of,
                 node_components=node_components,
@@ -445,8 +488,9 @@ def for_each_leaf_hit(
         return _dual_leaf_hits(
             tree,
             queries,
-            float(eps),
+            eps,
             eps2,
+            q_eps2,
             callback,
             mask_positions,
             finished_fn,
@@ -499,7 +543,9 @@ def for_each_leaf_hit(
                 root_hi = tree.node_hi[tree.root]
                 clamped = np.clip(queries[chunk_ids], root_lo, root_hi)
                 diff = queries[chunk_ids] - clamped
-                ok = np.einsum("nd,nd->n", diff, diff) <= eps2
+                ok = np.einsum("nd,nd->n", diff, diff) <= (
+                    eps2 if q_eps2 is None else q_eps2[chunk_ids]
+                )
                 if mask_positions is not None:
                     ok &= tree.node_range_hi[tree.root] > mask_positions[chunk_ids]
                 if component_of is not None:
@@ -585,7 +631,12 @@ def for_each_leaf_hit(
                         dev.counters.add("box_tests", n_tested - n_leaf_tests)
                     else:
                         dev.counters.add("box_tests", n_tested)
-                    np.less_equal(d2, eps2, out=keep)
+                    if q_eps2 is None:
+                        np.less_equal(d2, eps2, out=keep)
+                    else:
+                        row_eps2 = pool.take("row_eps2", n_par, dtype=np.float64)
+                        np.take(q_eps2, par_q, out=row_eps2)
+                        np.less_equal(d2, row_eps2[:, None], out=keep)
                     if tested is not None:
                         keep &= tested
                     if mask_positions is not None:
@@ -614,11 +665,24 @@ def for_each_leaf_hit(
     return result
 
 
+def _summarise(qg, leaf_values: np.ndarray, combine, out: np.ndarray) -> np.ndarray:
+    """Per-query-node summary: ``leaf_values`` seeds the leaves (in
+    ``qg.leaf_order``) and ``combine(child0, child1)`` folds them
+    bottom-up over the query BVH's levels into ``out``."""
+    out[qg.leaf_order] = leaf_values
+    for lvl_lo, lvl_hi in reversed(qg.levels):
+        out[lvl_lo:lvl_hi] = combine(
+            out[qg.child0[lvl_lo:lvl_hi]], out[qg.child1[lvl_lo:lvl_hi]]
+        )
+    return out
+
+
 def _dual_leaf_hits(
     tree: BVH,
     queries: np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     eps2: float,
+    q_eps2: np.ndarray | None,
     callback: LeafCallback,
     mask_positions: np.ndarray | None,
     finished_fn: Callable[[np.ndarray], np.ndarray] | None,
@@ -687,6 +751,14 @@ def _dual_leaf_hits(
     coincide is pruned in one comparison, and the per-member leaf test
     applies the exact leaf-vs-query component check the single engine
     applies.
+
+    Per-query radii (``q_eps2``, one squared radius per query id) extend
+    the same argument: every group-level test — the pair prune, the seed,
+    the "near" leaf classification — uses the query node's *largest*
+    member radius, so it never drops a pair some member reaches; the
+    "every member hits" shortcuts use the chunk's *smallest*; and every
+    per-member test uses the member's own radius, the single engine's
+    predicate.
     """
     m = queries.shape[0]
     n_int = tree.n_internal
@@ -735,13 +807,25 @@ def _dual_leaf_hits(
                 if component_of is not None:
                     chunk_comp = qpool.take("chunk_comp", cn)
                     np.take(component_of, chunk_ids, out=chunk_comp)
+                # Per-query squared radii: m_e2 per chunk member, the
+                # chunk's smallest (all_e2, for the "every member hits"
+                # shortcuts) and g_max per query node once the query BVH
+                # exists.  The query BVH's leaf rule sees every radius.
+                chunk_eps, all_e2 = eps, eps2
+                if q_eps2 is not None:
+                    m_e2 = qpool.take("chunk_eps2", cn, dtype=np.float64)
+                    np.take(q_eps2, chunk_ids, out=m_e2)
+                    chunk_eps = eps[chunk_ids]
+                    all_e2 = float(m_e2.min())
 
                 if n_int == 0:
                     # Single-leaf tree: mirror the single engine's one
                     # seed-and-deliver step (seed test uncounted).
                     clamped = np.clip(chunk_pts, node_lo[root], node_hi[root])
                     diff = chunk_pts - clamped
-                    ok = np.einsum("nd,nd->n", diff, diff) <= eps2
+                    ok = np.einsum("nd,nd->n", diff, diff) <= (
+                        eps2 if q_eps2 is None else m_e2
+                    )
                     if chunk_mask is not None:
                         ok &= node_rng_hi[root] > chunk_mask
                     if chunk_comp is not None:
@@ -759,9 +843,17 @@ def _dual_leaf_hits(
                     continue
 
                 qg = build_query_bvh(
-                    chunk_pts, chunk_mask, group_size, eps, qpool
+                    chunk_pts, chunk_mask, group_size, chunk_eps, qpool
                 )
                 n_qinner = qg.n_inner
+                lstarts = qg.mem_lo[qg.leaf_order]
+                if q_eps2 is not None:
+                    g_max = _summarise(
+                        qg,
+                        np.maximum.reduceat(m_e2, lstarts),
+                        np.maximum,
+                        qpool.take("g_max", qg.n_nodes, dtype=np.float64),
+                    )
 
                 # Uniform-component summary per query node (-1 = mixed):
                 # the component analogue of the node AABB.  Seeded at the
@@ -769,15 +861,14 @@ def _dual_leaf_hits(
                 # them) and combined bottom-up over the BVH's levels.
                 ucomp = None
                 if chunk_comp is not None:
-                    lstarts = qg.mem_lo[qg.leaf_order]
                     lmin = np.minimum.reduceat(chunk_comp, lstarts)
                     lmax = np.maximum.reduceat(chunk_comp, lstarts)
-                    ucomp = qpool.take("ucomp", qg.n_nodes)
-                    ucomp[qg.leaf_order] = np.where(lmin == lmax, lmin, -1)
-                    for lvl_lo, lvl_hi in reversed(qg.levels):
-                        c0 = ucomp[qg.child0[lvl_lo:lvl_hi]]
-                        c1 = ucomp[qg.child1[lvl_lo:lvl_hi]]
-                        ucomp[lvl_lo:lvl_hi] = np.where(c0 == c1, c0, -1)
+                    ucomp = _summarise(
+                        qg,
+                        np.where(lmin == lmax, lmin, -1),
+                        lambda c0, c1: np.where(c0 == c1, c0, -1),
+                        qpool.take("ucomp", qg.n_nodes),
+                    )
 
                 fin_prev = fin_now = cumfin = None
                 if finished_fn is not None:
@@ -794,7 +885,9 @@ def _dual_leaf_hits(
                     0.0,
                     np.maximum(node_lo[root] - qg.hi[top], qg.lo[top] - node_hi[root]),
                 )
-                okt = np.einsum("nd,nd->n", gap, gap) <= eps2
+                okt = np.einsum("nd,nd->n", gap, gap) <= (
+                    eps2 if q_eps2 is None else g_max[top]
+                )
                 if chunk_mask is not None:
                     okt &= node_rng_hi[root] > qg.mask_min[top]
                 if ucomp is not None:
@@ -904,7 +997,7 @@ def _dual_leaf_hits(
                         far = np.maximum(
                             node_hi[e_n] - qg.lo[e_g], qg.hi[e_g] - node_lo[e_n]
                         )
-                        allin = np.einsum("nd,nd->n", far, far) <= eps2
+                        allin = np.einsum("nd,nd->n", far, far) <= all_e2
                         reach = allin[seg] if live is None else allin[seg] & live
                         need = ~allin[seg]
                         if live is not None:
@@ -914,7 +1007,9 @@ def _dual_leaf_hits(
                             pn = e_n[seg[ridx]]
                             pts_r = chunk_pts[mpos[ridx]]
                             d = pts_r - np.clip(pts_r, node_lo[pn], node_hi[pn])
-                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= eps2
+                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= (
+                                eps2 if q_eps2 is None else m_e2[mpos[ridx]]
+                            )
                         dev.counters.add(
                             "box_tests",
                             mpos.shape[0] if live is None
@@ -947,11 +1042,13 @@ def _dual_leaf_hits(
                                 0.0,
                                 np.maximum(lo_k - qg.hi[e_g], qg.lo[e_g] - hi_k),
                             )
-                            near = np.einsum("nd,nd->n", gapl, gapl) <= eps2
+                            near = np.einsum("nd,nd->n", gapl, gapl) <= (
+                                eps2 if q_eps2 is None else g_max[e_g]
+                            )
                             farl = np.maximum(
                                 hi_k - qg.lo[e_g], qg.hi[e_g] - lo_k
                             )
-                            allhit = np.einsum("nd,nd->n", farl, farl) <= eps2
+                            allhit = np.einsum("nd,nd->n", farl, farl) <= all_e2
                             sidx = seg[idx]
                             hit = allhit[sidx]
                             sub = np.flatnonzero((near & ~allhit)[sidx])
@@ -962,7 +1059,9 @@ def _dual_leaf_hits(
                                 dd = lpts - np.clip(
                                     lpts, node_lo[leaf_n], node_hi[leaf_n]
                                 )
-                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= eps2
+                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= (
+                                    eps2 if q_eps2 is None else m_e2[mpos[li]]
+                                )
                             if chunk_mask is not None:
                                 hit &= crng[sel, k][sidx] > chunk_mask[mpos[idx]]
                             if finished_fn is not None:
@@ -1035,7 +1134,7 @@ def _dual_leaf_hits(
                     dev.counters.add(
                         "box_tests_saved", int(np.maximum(lcount - 1, 0).sum())
                     )
-                    keep = d2g <= eps2
+                    keep = d2g <= (eps2 if q_eps2 is None else g_max[cand_q])
                     if chunk_mask is not None:
                         keep &= cand_rng > qg.mask_min[cand_q]
                     if ucomp is not None:

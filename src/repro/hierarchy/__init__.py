@@ -7,8 +7,9 @@ HDBSCAN pipeline (Campello, Moulavi & Sander 2013; McInnes & Healy 2017)
 on the repository's substrates:
 
 ``repro.bvh.knn``
-    core distances (distance to the ``min_samples``-th neighbour) via the
-    batched expanding-radius BVH search;
+    core distances (distance to the ``min_samples``-th neighbour): a
+    per-query radius bounded from a Morton-order window, then a batched
+    BVH radius gather;
 
 ``mst``
     the minimum spanning tree of the *mutual reachability* graph

@@ -84,7 +84,7 @@ PER_POINT_OPS = ("cluster", "count", "knn")
 def op_for_kernel(name: str) -> str | None:
     """Attribute a kernel to the service op whose requests launch it.
 
-    ``knn`` wins over ``count`` (``knn_count_exact`` belongs to the knn
+    ``knn`` wins over ``count`` (a kernel naming both belongs to the knn
     pipeline, not to a plain neighbour count); kernels matching neither
     contribute only to the pooled ``cluster`` rates.
     """

@@ -387,9 +387,10 @@ class ServiceIndex:
     ) -> dict:
         """Distance to each query's ``k``-th nearest live point.
 
-        knn has no tombstone-masked form (the expanding-radius engine
-        counts leaves, not weights), so a dirty index compacts first —
-        ``ensure_ready(for_knn=True)`` guarantees zero tombstones.
+        knn has no tombstone-masked form (its window bound and gather
+        treat every leaf as a live point), so a dirty index compacts
+        first — ``ensure_ready(for_knn=True)`` guarantees zero
+        tombstones.
         """
         device = default_device(device)
         self.ensure_ready(device, for_knn=True)

@@ -27,7 +27,8 @@ from repro.hierarchy import (
     mutual_reachability_mst_boruvka,
     single_linkage_dendrogram,
 )
-from repro.hierarchy.boruvka import _ladder_up, _refresh_node_components
+from repro.datasets import load_dataset
+from repro.hierarchy.boruvka import _refresh_node_components
 from repro.metrics import partitions_equal
 
 
@@ -87,10 +88,10 @@ class TestEquivalence:
 
     def test_unique_mst_edge_set(self, rng):
         # with zero cores the weights are pairwise Euclidean distances —
-        # distinct on random float data, so the MST is *unique* and the
-        # edge set itself (not just the weights) must agree.  (Non-zero
-        # cores tie many weights at max(core_u, core_v); there only the
-        # weight multiset is canonical.)
+        # distinct on random float data, so even Prim's tie-blind MST is
+        # unique and must agree edge for edge.  (Non-zero cores tie many
+        # weights at max(core_u, core_v); the strict order still makes the
+        # MST unique — see TestStrictOrderEdgeSet.)
         X = rng.uniform(0, 1, (150, 2))
         core = np.zeros(X.shape[0])
         ref = mutual_reachability_mst(X, core)
@@ -204,22 +205,6 @@ class TestPruning:
 
 
 class TestHelpers:
-    def test_ladder_up_round_trip(self):
-        anchor = 0.375
-        vals = anchor * np.exp2(np.array([-3.0, 0.0, 2.0, 7.0]))
-        np.testing.assert_array_equal(_ladder_up(vals, anchor), vals)
-
-    def test_ladder_up_bounds(self, rng):
-        anchor = 0.7
-        vals = rng.uniform(1e-6, 1e3, 256)
-        out = _ladder_up(vals, anchor)
-        assert np.all(out >= vals)
-        assert np.all(out < 2.0 * vals)
-
-    def test_ladder_up_zeros_stay_zero(self):
-        out = _ladder_up(np.array([0.0, 1.0]), 0.5)
-        assert out[0] == 0.0 and out[1] > 0
-
     def test_refresh_node_components(self, rng):
         X = rng.uniform(0, 1, (32, 2))
         tree = _tree_over(X)
@@ -234,6 +219,79 @@ class TestHelpers:
             node_comp[tree.n_internal:], comp[tree.order]
         )
         assert np.all(node_comp[: tree.n_internal] == -1)
+
+
+def _kruskal_strict(X, core):
+    """Kruskal over every pair under the strict order ``(w, min(a, b),
+    max(a, b))`` — the unique MST that order defines, ties included.
+    Weights use the Borůvka kernel's own float formula."""
+    n = X.shape[0]
+    a, b = np.triu_indices(n, 1)
+    diff = X[a] - X[b]
+    w = np.maximum(np.sqrt(np.einsum("ij,ij->i", diff, diff)), core[a])
+    np.maximum(w, core[b], out=w)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rows = []
+    for i in np.lexsort((b, a, w)):
+        ra, rb = find(int(a[i])), find(int(b[i]))
+        if ra != rb:
+            parent[ra] = rb
+            rows.append((a[i], b[i], w[i]))
+            if len(rows) == n - 1:
+                break
+    return np.array(rows, dtype=np.float64)
+
+
+def _lattice():
+    g = np.arange(20, dtype=np.float64)
+    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+
+
+def _duplicated():
+    rng = np.random.default_rng(5)
+    base = np.round(rng.uniform(0, 4, (120, 2)), 1)
+    return np.vstack([base, base, base[:40]])
+
+
+#: Tie-heavy inputs with non-zero cores: (points, min_samples).
+TIE_HEAVY = {
+    "lattice": (_lattice, 4),
+    "duplicates": (_duplicated, 4),
+    "ngsim": (lambda: load_dataset("ngsim", 800, seed=1), 5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TIE_HEAVY))
+def tie_heavy(request):
+    make, minpts = TIE_HEAVY[request.param]
+    X = make()
+    tree = _tree_over(X)
+    core = core_distances(tree, X, minpts)
+    assert np.count_nonzero(core) > 0.9 * core.shape[0]
+    return X, tree, core, _normalised_edges(_kruskal_strict(X, core))
+
+
+class TestStrictOrderEdgeSet:
+    """The strict order makes the MST unique even among tied weights, so
+    the edge set — not just the weight multiset — must equal Kruskal's.
+    A search radius not rounded up for the squared test loses tied edges
+    whose distance equals the component bound."""
+
+    @pytest.mark.parametrize("chunk_size", [64, None])
+    @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+    def test_edge_set_equals_kruskal(self, tie_heavy, traversal, chunk_size):
+        X, tree, core, want = tie_heavy
+        got = mutual_reachability_mst_boruvka(
+            X, core, tree=tree, traversal=traversal, chunk_size=chunk_size
+        )
+        np.testing.assert_array_equal(_normalised_edges(got), want)
 
 
 class TestPipelineIntegration:

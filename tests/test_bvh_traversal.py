@@ -284,3 +284,96 @@ class TestLeafHits:
         assert len(pairs) == len(set(pairs))
         got = {frozenset(p) for p in pairs}
         assert got == {frozenset(p) for p in brute_pairs(pts, eps)}
+
+
+def _radii_scene():
+    """Clustered points plus a uniform background, external and primitive
+    queries, radii spanning zero to scene scale, a traversal mask and a
+    component labelling."""
+    rng = np.random.default_rng(21)
+    pts = np.concatenate([rng.normal(0, 0.1, (250, 2)), rng.uniform(-1, 1, (150, 2))])
+    queries = np.concatenate([pts[::2], rng.uniform(-1.5, 1.5, (60, 2))])
+    m = queries.shape[0]
+    radii = rng.uniform(0, 0.3, m) * (rng.uniform(size=m) < 0.8)
+    radii[:5] = 2.5
+    comp = rng.integers(0, 3, pts.shape[0])
+    return pts, queries, radii, rng.integers(-1, 400, m), comp, rng.integers(0, 3, m)
+
+
+class TestPerQueryRadii:
+    """``eps`` as an ``(m,)`` array: each query searches its own radius."""
+
+    PTS, QUERIES, RADII, MASK, COMP, QCOMP = _radii_scene()
+    TREE = _tree_over(PTS)
+
+    def _node_components(self):
+        from repro.hierarchy.boruvka import _refresh_node_components
+
+        node_comp = np.empty(self.TREE.node_lo.shape[0], dtype=np.int64)
+        _refresh_node_components(self.TREE, self.COMP, node_comp)
+        return node_comp
+
+    def _hits(self, eps, **kw):
+        got = np.zeros((self.QUERIES.shape[0], self.PTS.shape[0]), dtype=bool)
+
+        def cb(q, pos):
+            got[q, pos] = True
+
+        for_each_leaf_hit(self.TREE, self.QUERIES, eps, cb, **kw)
+        return got
+
+    @pytest.mark.parametrize("masking", ["none", "positions", "components"])
+    @pytest.mark.parametrize("query_order", ["input", "morton"])
+    @pytest.mark.parametrize("chunk_size", [17, None])
+    @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+    def test_hits_equal_brute_force(self, traversal, chunk_size, query_order, masking):
+        by_pos = self.PTS[self.TREE.order]
+        diff = self.QUERIES[:, None, :] - by_pos[None]
+        want = np.einsum("mnd,mnd->mn", diff, diff) <= (self.RADII**2)[:, None]
+        kw = {}
+        if masking == "positions":
+            kw["mask_positions"] = self.MASK
+            want &= np.arange(by_pos.shape[0])[None] > self.MASK[:, None]
+        elif masking == "components":
+            kw.update(component_of=self.QCOMP, node_components=self._node_components())
+            want &= self.COMP[self.TREE.order][None] != self.QCOMP[:, None]
+        got = self._hits(
+            self.RADII, traversal=traversal, chunk_size=chunk_size,
+            query_order=query_order, **kw,
+        )
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+    def test_scalar_and_full_array_bit_identical(self, traversal):
+        runs = []
+        for eps in (0.07, np.full(self.QUERIES.shape[0], 0.07)):
+            dev = Device()
+            batches = []
+            for_each_leaf_hit(
+                self.TREE, self.QUERIES, eps,
+                lambda q, pos: batches.append((q.copy(), pos.copy())),
+                mask_positions=self.MASK, device=dev, chunk_size=64,
+                traversal=traversal,
+            )
+            runs.append((batches, dev.profile()["bvh_traverse"]["counters"]))
+        (b0, c0), (b1, c1) = runs
+        assert len(b0) == len(b1) > 0
+        for (q0, p0), (q1, p1) in zip(b0, b1):
+            np.testing.assert_array_equal(q0, q1)
+            np.testing.assert_array_equal(p0, p1)
+        assert c0 == c1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full(3, -0.1),
+            np.array([0.1, np.nan, 0.1]),
+            np.array([0.1, np.inf, 0.1]),
+            np.full(4, 0.1),
+            np.full((3, 1), 0.1),
+        ],
+    )
+    def test_invalid_radii_rejected(self, bad):
+        tree = _tree_over(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="eps"):
+            for_each_leaf_hit(tree, np.zeros((3, 2)), bad, lambda q, p: None)

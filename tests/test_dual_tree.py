@@ -182,6 +182,40 @@ class TestPruning:
         assert d.get("group_box_tests", 0) > 0
         assert d.get("box_tests_saved", 0) > 0
 
+    def test_dual_prunes_per_query_radii(self, rng):
+        # kNN radii sit at neighbour scale, far below a 32-member group's
+        # extent: the per-member leaf rule keeps query groups within
+        # their members' radii so group tests still pay off.
+        from repro.bvh.knn import knn_radii
+
+        X = clustered_points(rng, 2000, 2)
+        tree = point_tree(X)
+        work = {}
+        for traversal in ("single", "dual"):
+            dev = Device(name=f"knn-{traversal}")
+            knn_radii(tree, X, 5, device=dev, traversal=traversal)
+            c = dev.profile()["knn_gather"]["counters"]
+            work[traversal] = (
+                c.get("box_tests", 0) + c.get("group_box_tests", 0) + c["nodes_visited"]
+            )
+        assert work["dual"] <= 0.7 * work["single"]
+
+    def test_per_member_leaf_rule(self, rng):
+        from repro.bvh.qgroups import build_query_bvh
+        from repro.bvh.traversal import _FrontierPool, query_schedule
+
+        X = clustered_points(rng, 600, 2)
+        pts = X[query_schedule(X, "morton")]
+        radii = rng.uniform(0.0, 0.2, pts.shape[0])
+        qg = build_query_bvh(pts, None, 32, radii, _FrontierPool(Device(), 2))
+        leaves = np.arange(qg.n_inner, qg.n_nodes)
+        for leaf in leaves:
+            lo, hi = qg.mem_lo[leaf], qg.mem_hi[leaf]
+            assert hi - lo == 1 or (
+                hi - lo <= 32 and qg.ext[leaf] <= radii[lo:hi].min()
+            )
+        assert (qg.mem_hi[leaves] - qg.mem_lo[leaves]).max() > 1
+
     def test_single_engine_has_no_group_counters(self, rng):
         X = clustered_points(rng, 300, 2)
         dev = Device(name="single-only")

@@ -52,11 +52,11 @@ CONTRACT = {
         "result": ALL, "hits": ALL, "distance_evals": ALL, "box_tests": CHUNK_ORDER,
         "union_ops": ALL,
     }),
-    "knn_gather_chunk": ("knn", {
+    "knn_gather": ("knn", {
         "result": ALL,
         "hits": frozenset({"engine", "order"}),
-        "distance_evals": frozenset({"engine", "order"}),
-        "box_tests": frozenset({"order"}),
+        "distance_evals": ALL,
+        "box_tests": CHUNK_ORDER,
     }),
     "boruvka_nn": ("boruvka", {"result": ALL}),
 }

@@ -1,19 +1,22 @@
-"""Regression tests for three kNN traversal bugs.
+"""Regression tests for the kNN search's known failure modes.
 
-1. **Gather leaf-centre distances** — the phase-2 gather used to rank
-   candidates by distance to the *leaf box geometry* instead of the
-   primitive coordinate.  For point-leaf trees the two coincide, which is
-   why the original suite never caught it; any tree whose leaf boxes have
-   extent (centres displaced from the primitives) got wrong k-th radii.
-2. **One radius per phase-1 batch** — the expanding-count loop read a
-   single radius for all pending queries, silently mis-counting whenever
-   warm starts or uneven doubling left the batch with mixed radii.
+1. **Gather leaf-centre distances** — the gather used to rank candidates
+   by distance to the *leaf box geometry* instead of the primitive
+   coordinate.  For point-leaf trees the two coincide, which is why the
+   original suite never caught it; any tree whose leaf boxes have extent
+   (centres displaced from the primitives) got wrong k-th radii.
+2. **Window bound placement** — each query's search radius is the k-th
+   distance inside a window of the Morton-sorted leaf order.  Queries
+   outside the scene box, ``k == n`` (the window is the whole set) and
+   coincident points (a zero radius) are the placements that can go
+   wrong; on degenerate (collinear, planar) data the bound must stay
+   tight, which the gather's ``distance_evals`` measure.
 3. **Degenerate-dimension density estimate** — ``_initial_radius``
-   multiplied all scene extents, so collinear / axis-aligned data (a zero
-   extent) produced a near-zero starting radius and dozens of doubling
-   rounds before the first neighbour appeared.
+   (Borůvka's zero-core search floor) multiplied all scene extents, so
+   collinear / axis-aligned data (a zero extent) produced a near-zero
+   radius.
 
-Each test here fails on the corresponding pre-fix code.
+Each test here fails on the corresponding faulty code.
 """
 
 import numpy as np
@@ -83,9 +86,8 @@ class TestBoxLeafGather:
         )
 
     def test_exact_counting_never_undershoots(self, rng):
-        # phase 1 on box leaves must count *points* in the ball, not leaf
-        # hits — box hits overestimate, stopping the expansion early with
-        # a radius whose true point count is below k
+        # the window bound and the gather both measure *points*, not leaf
+        # boxes: a box-based bound would undershoot the k-th neighbour
         pts = rng.uniform(0, 4, (80, 2))
         tree = self._box_tree(pts, rng)
         got = core_distances(tree, pts, 10)  # points= is implied
@@ -93,42 +95,52 @@ class TestBoxLeafGather:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-class TestMixedRadiusBatches:
-    """Bug 2: pending queries must be counted at their own radius."""
+class TestWindowPlacement:
+    """Bug 2: the window bound must hold wherever a query lands."""
 
-    def test_warm_start_array_matches_kdtree(self, rng):
-        pts = rng.uniform(0, 10, (200, 2))
+    def test_external_queries_outside_scene_box(self, rng):
+        pts = rng.uniform(0, 5, (200, 2))
+        # far outside on every side: their Morton codes clamp to the
+        # root box's faces, and the window there must still bound
+        queries = np.concatenate(
+            [rng.uniform(-20, -6, (20, 2)), rng.uniform(11, 30, (20, 2)),
+             np.array([[2.5, 100.0], [-50.0, 2.5]])]
+        )
         tree = _point_tree(pts)
-        want = cKDTree(pts).query(pts, k=5)[0][:, -1]
-        # mixed warm starts spanning four orders of magnitude guarantee
-        # the first round's batch carries many distinct radii
-        starts = 10.0 ** rng.uniform(-3, 1, 200)
-        got = knn_radii(tree, pts, 5, initial_radius=starts)
+        got = knn_radii(tree, queries, 7)
+        want = cKDTree(pts).query(queries, k=7)[0][:, -1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_warm_start_matches_cold_start(self, rng):
-        pts = rng.uniform(0, 10, (150, 2))
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_k_equals_n_primitives(self, rng, n):
+        pts = rng.uniform(0, 3, (n, 3))
+        queries = np.concatenate([pts, rng.uniform(-1, 4, (5, 3))])
         tree = _point_tree(pts)
-        cold = knn_radii(tree, pts, 7)
-        warm = knn_radii(tree, pts, 7, initial_radius=cold)
-        np.testing.assert_array_equal(warm, cold)
+        got = knn_radii(tree, queries, n)
+        want = cKDTree(pts).query(queries, k=n)[0]
+        want = want if n == 1 else want[:, -1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            core_distances(tree, pts, n), want[:n], rtol=1e-12, atol=1e-12
+        )
 
-    def test_oversized_warm_start_is_correct(self, rng):
-        # a too-large start must not change the answer (phase 2 selects
-        # the k-th smallest within the final radius regardless)
-        pts = rng.uniform(0, 10, (100, 2))
+    def test_large_external_batch_bounds_held_pairs(self, rng):
+        # external queries clamp to the root box's faces, where the window
+        # bound is loose: the gather's held (query, distance) pairs must
+        # stay bounded by one chunk of queries, not by the whole batch
+        pts = rng.uniform(0, 1, (400, 2))
+        queries = rng.uniform(-3, 4, (4000, 2))
         tree = _point_tree(pts)
-        cold = knn_radii(tree, pts, 4)
-        warm = knn_radii(tree, pts, 4, initial_radius=50.0)
-        np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=1e-12)
-
-    def test_warm_start_validated(self, rng):
-        pts = rng.uniform(0, 10, (20, 2))
-        tree = _point_tree(pts)
-        with pytest.raises(ValueError, match="positive"):
-            knn_radii(tree, pts, 3, initial_radius=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            knn_radii(tree, pts, 3, initial_radius=np.full(20, -1.0))
+        peaks = {}
+        for chunk in (256, None):
+            dev = Device()
+            got = knn_radii(tree, queries, 5, device=dev, chunk_size=chunk)
+            assert dev.memory.live_by_tag["knn_pairs"] == 0
+            peaks[chunk] = dev.memory.peak_by_tag["knn_pairs"]
+        want = cKDTree(pts).query(queries, k=5)[0][:, -1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert peaks[256] <= 256 * pts.shape[0] * 16
+        assert peaks[256] * 8 <= peaks[None]
 
 
 class TestDegenerateDensityEstimate:
@@ -146,17 +158,17 @@ class TestDegenerateDensityEstimate:
         assert r0 == pytest.approx(spread * 4 / n)
 
     def test_collinear_rounds_bounded(self, rng):
-        n = 256
+        n, k = 256, 4
         x = np.sort(rng.uniform(0, 10, n))
         pts = np.column_stack([np.full(n, 1.0), x])
         tree = _point_tree(pts)
         dev = Device()
-        got = knn_radii(tree, pts, 4, device=dev)
-        want = cKDTree(pts).query(pts, k=4)[0][:, -1]
+        got = knn_radii(tree, pts, k, device=dev)
+        want = cKDTree(pts).query(pts, k=k)[0][:, -1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        # a density-scale start needs only a handful of doublings; the
-        # zero-volume estimate (1e-12) needed ~40 to climb back to scale
-        assert dev.profile()["knn_expand"]["steps"] <= 10
+        # the window bound on a line stays within a small factor of k
+        # points per query; a scene-scale radius gathers O(n) each
+        assert dev.profile()["knn_gather"]["counters"]["distance_evals"] <= 8 * n * k
 
     def test_axis_aligned_3d(self, rng):
         # a planar point set embedded in 3-d: one degenerate extent
@@ -169,10 +181,19 @@ class TestDegenerateDensityEstimate:
         got = knn_radii(tree, pts, 6, device=dev)
         want = cKDTree(pts).query(pts, k=6)[0][:, -1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert dev.profile()["knn_expand"]["steps"] <= 10
+        assert dev.profile()["knn_gather"]["counters"]["distance_evals"] <= 8 * n * 6
 
     def test_all_coincident(self):
         pts = np.ones((16, 2))
         tree = _point_tree(pts)
         assert _initial_radius(tree, 4) == 1e-12
         np.testing.assert_array_equal(knn_radii(tree, pts, 16), 0.0)
+        # zero window radii still gather every coincident point; an
+        # external query measures its true distance to them
+        queries = np.array([[1.0, 1.0], [4.0, 5.0], [-2.0, 1.0]])
+        for k in (1, 5, 16):
+            want = cKDTree(pts).query(queries, k=k)[0]
+            want = want if k == 1 else want[:, -1]
+            np.testing.assert_allclose(
+                knn_radii(tree, queries, k), want, rtol=1e-12, atol=1e-12
+            )
