@@ -179,8 +179,9 @@ DISTRIBUTED_ALGORITHMS = {"distributed", "distributed-fdbscan"}
 #: registry.  Hierarchy cells ignore ``eps`` (it is recorded on the cell
 #: for grid bookkeeping only) and derive ``min_cluster_size`` from the
 #: cell's ``min_samples`` unless one is passed through ``kwargs``.  They
-#: accept a prebuilt ``index=`` and the ``traversal=`` engine selector
-#: like the tree algorithms do.
+#: accept a prebuilt ``index=`` like the tree algorithms do, but no
+#: ``traversal=``: their per-query-radius and component-masked searches
+#: always run the single engine, so a sweep runs them on single only.
 HIERARCHY_ALGORITHMS = {"hdbscan"}
 
 
@@ -249,8 +250,8 @@ def run_once(
 
     ``traversal`` selects the BVH traversal engine for tree-based and
     distributed cells (``"single"``/``"dual"``/``"auto"``; baselines
-    ignore it) and is recorded on every cell so multi-mode sweeps stay
-    distinguishable in the history.  An ``"auto"`` cell additionally
+    and hierarchy cells ignore it) and is recorded on every cell so
+    multi-mode sweeps stay distinguishable in the history.  An ``"auto"`` cell additionally
     records the per-chunk engine decisions and the chooser's predicted
     cost in its counter snapshot (``auto_single_chunks`` /
     ``auto_dual_chunks`` / ``auto_pred_cost_us``) and mirrors them onto
@@ -281,7 +282,7 @@ def run_once(
     )
     if tree_kwargs and is_tree:
         kwargs = {**kwargs, **tree_kwargs}
-    if is_tree or is_distributed or is_hierarchy:
+    if is_tree or is_distributed:
         kwargs = {**kwargs, "traversal": traversal}
     if index is not None and (is_tree or is_hierarchy):
         kwargs = {**kwargs, "index": index}
@@ -455,7 +456,8 @@ def run_sweep(
         (recorded on every record; see :func:`run_once`).  Run the sweep
         once per engine (``"single"``/``"dual"``/``"auto"``) for a
         multi-mode comparison; records stay distinguishable by their
-        ``traversal`` field.
+        ``traversal`` field.  Hierarchy cells run in the ``"single"``
+        sweep only: they have no engine axis.
     cell_timeout:
         Per-cell wall-second watchdog (see :func:`run_once`): a cell
         that exceeds it records ``status="timeout"`` with its partial
@@ -517,6 +519,8 @@ def _run_sweep_cells(
             else:
                 index = indexes.setdefault(candidate.fingerprint, candidate)
         for algorithm in algorithms:
+            if traversal != "single" and algorithm.lower() in HIERARCHY_ALGORITHMS:
+                continue
             if algorithm in over_budget:
                 records.append(
                     RunRecord(

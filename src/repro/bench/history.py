@@ -16,12 +16,22 @@ Besides wall seconds, the comparison tracks **per-point counter rates**
 and loads; the rates are deterministic work measures, so a rate
 regression is an *algorithmic* alarm — the code started doing more work
 per point — even when the wall clock happens to look fine.
+
+:func:`host_facts` names the host behind a run's wall seconds (core
+count, CPU, interpreter and library versions, source commit), so a
+1-core number is never compared blind with a 2-core one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+from importlib import metadata
+
+import numpy as np
 
 from repro.bench.harness import RunRecord
 
@@ -33,6 +43,64 @@ _KEY_FIELDS = ("algorithm", "traversal", "dataset", "n", "eps", "min_samples")
 
 def _key(record: RunRecord) -> tuple:
     return tuple(getattr(record, f) for f in _KEY_FIELDS)
+
+
+def _cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def _git_sha() -> str | None:
+    """The commit of the source tree this module was loaded from."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def host_facts() -> dict:
+    """Facts about the host producing a run's wall seconds (``None``
+    where one is unavailable): usable cores, CPU model, python / numpy /
+    scipy versions and the source commit."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        nproc = os.cpu_count()
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    return {
+        "nproc": nproc,
+        "cpu": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "git_sha": _git_sha(),
+    }
+
+
+def format_host(host: dict | None) -> str:
+    """One-line summary of :func:`host_facts` output, or ``"unrecorded"``."""
+    if not host:
+        return "unrecorded"
+    sha = host.get("git_sha")
+    return (
+        f"nproc={host.get('nproc')} cpu={host.get('cpu')} "
+        f"python={host.get('python')} numpy={host.get('numpy')} "
+        f"scipy={host.get('scipy')} git={sha[:12] if sha else None}"
+    )
 
 
 def save_records(path: str, records: list[RunRecord], meta: dict | None = None) -> None:

@@ -69,6 +69,10 @@ That is the paper's reason to run Borůvka over the tree at all; a change
 that silently degrades the component masking or the bound-capped radius
 schedule fails CI even when wall seconds stay flat.
 
+The smoke prints the baseline's host facts (``meta["host"]``, written by
+``repro bench --save``; "unrecorded" for older baselines) next to the
+current host's, so a wall alarm can be read against the two machines.
+
 The smoke run never writes the baseline; refreshing it is an explicit
 ``repro bench ... --save`` on a maintainer's machine.
 """
@@ -79,7 +83,7 @@ import os
 import sys
 
 from repro.bench.harness import HIERARCHY_ALGORITHMS, run_sweep
-from repro.bench.history import compare_records, load_records
+from repro.bench.history import compare_records, format_host, host_facts, load_records
 
 #: Default baseline path (the committed sweep records).
 DEFAULT_BASELINE = "BENCH_sweep.json"
@@ -445,6 +449,8 @@ def run_smoke(
         f"(wall x{wall_threshold:g}, rates x{rate_threshold:g}, "
         f"{len(records)} cells)"
     )
+    print(f"  baseline host: {format_host(meta.get('host'))}")
+    print(f"  current host : {format_host(host_facts())}")
     failed = False
     for kind in ALARM_KINDS + ("improvements", "rate_improvements", "unmatched"):
         for entry in report[kind]:

@@ -34,12 +34,14 @@ vectorised reproduction:
     interface: ``traversal="single"`` (one frontier row per query) and
     ``traversal="dual"`` (dual-tree: whole query-BVH nodes pruned per tree
     node in one box test), plus ``traversal="auto"`` which picks between
-    them per chunk from the fitted cost model.
+    them per chunk from the fitted cost model.  The dual engine serves
+    one shared radius only: per-query radii and component masks (the
+    kNN gather, Borůvka) always run single.
 
 ``qgroups``
     The query-side BVH backing the dual engine: density-adaptive groups of
-    Morton-sorted queries built by median bisection, in the same packed
-    internal-before-leaf layout as the tree.
+    Morton-sorted queries sharing one radius, built by median bisection,
+    in the same packed internal-before-leaf layout as the tree.
 
 ``autotune``
     The ``traversal="auto"`` chooser: prices both engines from tree

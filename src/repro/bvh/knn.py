@@ -19,7 +19,8 @@ bound plus one radius gather**:
    time.
 
 Each query's radius is its own, so each query's gather hits are
-independent of chunking, query order and engine.
+independent of chunking and query order.  Per-query radii always run
+the single traversal engine (see :func:`for_each_leaf_hit`).
 
 Distances are always measured to the *primitive coordinates*: for trees
 whose leaves are zero-extent point boxes those coincide with the leaf
@@ -114,7 +115,6 @@ def knn_radii(
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     points: np.ndarray | None = None,
     query_order: str = "input",
-    traversal: str = "single",
     watchdog=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
@@ -210,7 +210,6 @@ def knn_radii(
                 leaf_test_is_distance=degenerate_leaves,
                 chunk_size=None,
                 query_order=query_order,
-                traversal=traversal,
                 watchdog=watchdog,
             )
             qs = np.concatenate(collected_q)
@@ -230,7 +229,6 @@ def core_distances(
     min_samples: int,
     device: Device | None = None,
     query_order: str = "input",
-    traversal: str = "single",
     watchdog=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
@@ -243,6 +241,5 @@ def core_distances(
         device=device,
         points=X,
         query_order=query_order,
-        traversal=traversal,
         watchdog=watchdog,
     )

@@ -18,7 +18,8 @@ early aggregated-traversal prototypes:
   box test covers many queries, while sparse regions split down to small
   groups that stay prunable.  :data:`DENSE_LEAF_CAP_FACTOR` bounds how
   large a dense leaf may grow, keeping the per-member work at the leaf
-  fringe linear.
+  fringe linear.  Every member shares that one radius: per-query radii
+  never reach the dual engine.
 
 Node ids live in one packed id space mirroring the internal-before-leaf
 numbering of :class:`repro.bvh.tree.BVH`: internal nodes are
@@ -63,10 +64,8 @@ DENSE_LEAF_EXT_FRACTION = 0.5
 class QueryBVH:
     """Packed query-side BVH over one Morton-sorted chunk.
 
-    Node ids: internal nodes are ``0 .. n_inner-1`` (breadth-first, so a
-    construction level's internal ids are contiguous — see
-    :attr:`levels`), leaves are ``n_inner .. n_nodes-1``.  The root is
-    always node ``0``.
+    Node ids: internal nodes are ``0 .. n_inner-1`` (breadth-first),
+    leaves are ``n_inner .. n_nodes-1``.  The root is always node ``0``.
 
     Attributes
     ----------
@@ -88,17 +87,6 @@ class QueryBVH:
         *every* member, so the whole query node skips it in one test.
     top:
         Seed node ids — always ``[0]`` (the root).
-    levels:
-        ``((lo, hi), ...)`` internal-id ranges per construction depth,
-        root first.  Iterating them *reversed* visits children before
-        parents, which is what lets per-node summaries (the traversal's
-        uniform-component array) propagate bottom-up with one vectorised
-        combine per level.
-    leaf_order:
-        ``(n_leaves,)`` leaf node ids ordered by ``mem_lo``.  Leaves tile
-        the chunk, so ``mem_lo[leaf_order]`` is a valid ``reduceat``
-        boundary list over per-member arrays — the hook the traversal
-        uses to seed bottom-up summaries.
     """
 
     n_inner: int
@@ -112,8 +100,6 @@ class QueryBVH:
     ext: np.ndarray
     mask_min: np.ndarray | None
     top: np.ndarray
-    levels: tuple
-    leaf_order: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -124,22 +110,16 @@ def build_query_bvh(
     points: np.ndarray,
     mask: np.ndarray | None,
     group_size: int,
-    eps: float | np.ndarray,
+    eps: float,
     pool,
 ) -> QueryBVH:
     """Build the query BVH over one chunk's Morton-sorted query points.
 
     ``points`` are the chunk's queries in schedule (Morton) order;
     ``mask`` the matching traversal-mask positions (or ``None``);
-    ``eps`` — a scalar, or the members' radii in chunk order — feeds the
-    leaf rule only (never results).  With one shared radius, a node is a
-    leaf at ``group_size`` members or when it is dense (see
-    :data:`DENSE_LEAF_EXT_FRACTION`).  With per-member radii, a node is a
-    leaf at one member, or at ``group_size`` members whose box edge is at
-    most their smallest radius: a group wider than a member's radius
-    shares little of that member's reach, so the group test prunes
-    nothing for it while every member pays the fringe re-tests.
-    The build is a pure function of its inputs — same chunk, same
+    ``eps``, the search radius every member shares, feeds the leaf rule
+    only (never results): a node is a leaf at ``group_size`` members or
+    when it is dense (see :data:`DENSE_LEAF_EXT_FRACTION`).  The build is a pure function of its inputs — same chunk, same
     hierarchy.  Output arrays are views into ``pool`` slots (grown once,
     reused per chunk).
     """
@@ -148,9 +128,7 @@ def build_query_bvh(
     dense_cap = group_size * DENSE_LEAF_CAP_FACTOR
     # group_size=1 means "degenerate to per-query traversal": the dense
     # rule is disabled so every leaf holds exactly one query.
-    per_member = np.ndim(eps) > 0
-    if not per_member:
-        dense_ext = DENSE_LEAF_EXT_FRACTION * float(eps) if group_size > 1 else -1.0
+    dense_ext = DENSE_LEAF_EXT_FRACTION * float(eps) if group_size > 1 else -1.0
 
     # Level-by-level construction over a *tiling* of [0, cn): every
     # segment is owned by a node (finalised leaves stay in the tiling so
@@ -168,7 +146,6 @@ def build_query_bvh(
     msk_l: list[np.ndarray] = []
     leaf_l: list[np.ndarray] = []
     fchild_l: list[np.ndarray] = []
-    level_sizes: list[int] = []
     n_total = 0
 
     while True:
@@ -183,11 +160,7 @@ def build_query_bvh(
         n_hi = seg_hi[new]
         n_ext = (n_hi - n_lo).max(axis=1)
         n_cnt = ends[new] - starts[new]
-        if per_member:
-            r_min = np.minimum.reduceat(eps, starts)[new]
-            leaf = (n_cnt <= 1) | ((n_cnt <= group_size) & (n_ext <= r_min))
-        else:
-            leaf = (n_cnt <= group_size) | ((n_ext <= dense_ext) & (n_cnt <= dense_cap))
+        leaf = (n_cnt <= group_size) | ((n_ext <= dense_ext) & (n_cnt <= dense_cap))
 
         lo_l.append(n_lo)
         hi_l.append(n_hi)
@@ -197,7 +170,6 @@ def build_query_bvh(
         if seg_mask is not None:
             msk_l.append(seg_mask[new])
         leaf_l.append(leaf)
-        level_sizes.append(new.size)
         n_total += new.size
 
         split = ~leaf
@@ -262,25 +234,6 @@ def build_query_bvh(
         child0[:] = perm[fc_inner]
         child1[:] = perm[fc_inner + 1]
 
-    # Internal-id ranges per construction level (creation order keeps a
-    # level's internals contiguous after renumbering).
-    levels = []
-    done = 0
-    seen = 0
-    for size, lvl_leaf in zip(level_sizes, leaf_l):
-        k = int(np.count_nonzero(~lvl_leaf))
-        if k:
-            levels.append((done, done + k))
-        done += k
-        seen += size
-
-    # Leaves sorted by member start: a reduceat-ready tiling of the chunk.
-    leaf_ids = perm[c_leaf]
-    leaf_starts = np.concatenate(mlo_l)[c_leaf]
-    order = np.argsort(leaf_starts, kind="stable")
-    leaf_order = pool.take("qg_leaf_order", n_leaves, dtype=np.int32)
-    leaf_order[:] = leaf_ids[order]
-
     top = np.zeros(1, dtype=np.int32)
     return QueryBVH(
         n_inner=n_inner,
@@ -294,6 +247,4 @@ def build_query_bvh(
         ext=ext,
         mask_min=mask_min,
         top=top,
-        levels=tuple(levels),
-        leaf_order=leaf_order,
     )

@@ -47,7 +47,8 @@ squared radius.  The kNN gather searches every query at its own
 certified bound, and each Borůvka sweep searches every point at its own
 component-capped radius in one launch.
 
-A second engine, ``traversal="dual"`` (:func:`_dual_leaf_hits`),
+A second engine, ``traversal="dual"`` (:func:`_dual_leaf_hits`), serves
+one regime only: many clustered queries sharing one radius.  It
 aggregates Morton-adjacent queries into a density-adaptive query-side BVH
 (:mod:`repro.bvh.qgroups`) and advances *(query node, tree node)* pairs
 instead, refining whichever side of a pair is looser: one box-box test
@@ -57,6 +58,9 @@ reproducing the single engine's hits, labels and ``distance_evals``
 bit-for-bit.  A third value, ``traversal="auto"``, is not an engine at
 all but a per-chunk dispatcher: it prices both engines with the fitted
 cost model (:mod:`repro.bvh.autotune`) and runs the cheaper one.
+Per-query radii and component masks (the kNN gather, Borůvka) run the
+single engine whatever ``traversal`` says: at neighbour-scale radii the
+dual engine's query BVH and fringe re-tests never paid off.
 """
 
 from __future__ import annotations
@@ -85,9 +89,9 @@ QUERY_ORDERS = ("input", "morton")
 #: per query; ``"dual"`` aggregates Morton-adjacent queries into a query
 #: BVH and prunes whole query nodes per tree node (see
 #: :func:`_dual_leaf_hits`); ``"auto"`` picks single or dual *per chunk*
-#: from the cost model's predicted work (see :mod:`repro.bvh.autotune`;
-#: chunks with per-query radii or a component mask run single) — a pure
-#: scheduling choice, results are bit-identical regardless.
+#: from the cost model's predicted work (see :mod:`repro.bvh.autotune`)
+#: — a pure scheduling choice, results are bit-identical regardless.
+#: Searches with per-query radii or a component mask always run single.
 TRAVERSALS = ("single", "dual", "auto")
 
 
@@ -219,7 +223,6 @@ def for_each_leaf_hit(
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     query_order: str = "input",
     traversal: str = "single",
-    group_size: int | None = None,
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
@@ -279,29 +282,29 @@ def for_each_leaf_hit(
         identical either way — only the wavefront composition changes.
     traversal:
         ``"single"`` (default) walks one frontier row per query;
-        ``"dual"`` aggregates Morton-sorted queries into groups and prunes
-        whole groups against each node in one box test, expanding to the
+        ``"dual"`` aggregates Morton-sorted queries into groups of up to
+        :data:`~repro.bvh.qgroups.DEFAULT_GROUP_SIZE` and prunes whole
+        groups against each node in one box test, expanding to the
         per-query path only where a node has leaf children.  Labels,
         delivered hits and ``distance_evals`` are bit-identical between
         the engines; ``box_tests``/``nodes_visited`` drop (group pruning
         is the point) while new ``group_box_tests``/``box_tests_saved``
-        counters account the aggregated work.  **Scope**: these
+        counters account the aggregated work.  The dual engine (and so
+        ``"auto"``'s choice between the two) applies to one shared
+        radius only: a non-uniform ``eps`` array or a component mask
+        runs the single engine whatever this says.  **Scope**: these
         invariances (engine, chunking, query order) hold when
         ``finished_fn`` reads only state the query's own hits update.
         A ``finished_fn`` fed by *other* queries' hits — Borůvka's
         component bound in ``boruvka_nn`` — stops queries at
         schedule-dependent points, so its hits and work counters vary
-        with all three knobs (its MST does not).  The per-kernel table
-        is in ``docs/gpu-model.md`` and is pinned by
+        with chunking and query order (its MST does not).  The
+        per-kernel table is in ``docs/gpu-model.md`` and is pinned by
         ``tests/test_kernel_contracts.py``.  The dual engine requires a
         *monotone* ``finished_fn`` (once finished, always finished) —
         true of every early-exit in this codebase — and always schedules
         queries in Morton order (``query_order`` is validated but does
         not change results in either engine).
-    group_size:
-        Queries per group for ``traversal="dual"`` (default
-        :data:`~repro.bvh.qgroups.DEFAULT_GROUP_SIZE`); ``1`` degenerates
-        to per-query traversal.
     component_of / node_components:
         Optional *component mask* (passed together): ``component_of[q]``
         is query ``q``'s component id (``>= 0``) and
@@ -312,10 +315,10 @@ def for_each_leaf_hit(
         descending (Borůvka's "nearest neighbour outside my component"
         query).  Because a subtree uniform in component ``c`` contains
         only ``c``-leaves, internal pruning is a pure work optimisation:
-        the delivered hit stream equals leaf-level filtering exactly, in
-        both engines.  Same-component leaf children are not counted as
-        leaf tests (they are resolved by the id comparison, not a
-        distance computation).
+        the delivered hit stream equals leaf-level filtering exactly.
+        Same-component leaf children are not counted as leaf tests (they
+        are resolved by the id comparison, not a distance computation).
+        Masked searches run the single engine.
     watchdog:
         Optional zero-argument callable polled once on entry and once per
         wavefront step (piggybacking on the ``finished_fn`` evaluation
@@ -379,7 +382,7 @@ def for_each_leaf_hit(
             eps = float(eps[0]) if m else 0.0
     elif eps < 0 or not np.isfinite(eps):
         raise ValueError(f"eps must be finite and non-negative; got {eps}")
-    eps2 = float(eps) * float(eps) if q_eps2 is None else float(q_eps2.max())
+    eps2 = float(eps) * float(eps) if q_eps2 is None else None
     n_int = tree.n_internal
     result = TraversalResult()
     if m == 0:
@@ -404,6 +407,13 @@ def for_each_leaf_hit(
             )
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
+    if q_eps2 is not None or component_of is not None:
+        # The dual engine serves one shared radius in open space only.
+        # Per-query radii (the kNN gather, Borůvka) sit at neighbour
+        # scale, far below a query group's extent, and the component mask
+        # prunes most of a Borůvka sweep before any distance test: there
+        # its query BVH and fringe re-tests never paid off.
+        traversal = "single"
     if watchdog is not None:
         # Thread the watchdog through the finished_fn evaluation points:
         # both engines already consult finished_fn every wavefront step,
@@ -424,14 +434,13 @@ def for_each_leaf_hit(
     if traversal == "auto":
         from repro.bvh.autotune import choose_engine
 
-        gsz = group_size if group_size is not None else DEFAULT_GROUP_SIZE
         # Per-chunk dispatch: chunk in Morton order (the dual engine's
         # chunking — a pure scheduling choice), price each chunk with the
         # cost model and run the cheaper engine on it.  Chunks run
-        # sequentially, so cross-chunk state (finished_fn closures,
-        # component masks) behaves exactly as in either engine's own
-        # chunk loop.  The watchdog is already composed into finished_fn
-        # above, so the recursive calls must not re-compose it.
+        # sequentially, so cross-chunk state (finished_fn closures)
+        # behaves exactly as in either engine's own chunk loop.  The
+        # watchdog is already composed into finished_fn above, so the
+        # recursive calls must not re-compose it.
         schedule = (
             morton_schedule
             if morton_schedule is not None
@@ -444,23 +453,17 @@ def for_each_leaf_hit(
                 ids = np.asarray(schedule[chunk_start:chunk_end], dtype=np.int64)
             else:
                 ids = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            if component_of is None and q_eps2 is None:
-                decision = choose_engine(
-                    tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
-                )
-                engine, pred_seconds = decision.engine, decision.pred_seconds
-            else:
-                # The cost model prices one shared radius in open space.
-                # Per-query radii (the kNN gather, Borůvka) sit at
-                # neighbour scale, far below a query group's extent, and
-                # the component mask prunes most of a Borůvka sweep before
-                # any distance test: on both the dual engine's query BVH
-                # build and fringe re-tests never paid off (ngsim n=4,000:
-                # Borůvka 0.85 s against single's 0.27 s, kNN gather
-                # 0.10 s against 0.02 s).
-                engine, pred_seconds = "single", 0.0
-            dev.counters.add(f"auto_{engine}_chunks", 1)
-            dev.counters.add("auto_pred_cost_us", int(pred_seconds * 1e6))
+            decision = choose_engine(
+                tree,
+                queries[ids],
+                eps,
+                DEFAULT_GROUP_SIZE,
+                cost_model,
+                kernel_name,
+                tree_stats,
+            )
+            dev.counters.add(f"auto_{decision.engine}_chunks", 1)
+            dev.counters.add("auto_pred_cost_us", int(decision.pred_seconds * 1e6))
             sub = for_each_leaf_hit(
                 tree,
                 queries,
@@ -473,10 +476,7 @@ def for_each_leaf_hit(
                 leaf_test_is_distance=leaf_test_is_distance,
                 chunk_size=None,
                 query_order="input",
-                traversal=engine,
-                group_size=group_size,
-                component_of=component_of,
-                node_components=node_components,
+                traversal=decision.engine,
                 watchdog=None,
                 _chunk_ids=ids,
             )
@@ -488,9 +488,7 @@ def for_each_leaf_hit(
         return _dual_leaf_hits(
             tree,
             queries,
-            eps,
-            eps2,
-            q_eps2,
+            float(eps),
             callback,
             mask_positions,
             finished_fn,
@@ -498,9 +496,6 @@ def for_each_leaf_hit(
             kernel_name,
             leaf_test_is_distance,
             chunk_size,
-            group_size if group_size is not None else DEFAULT_GROUP_SIZE,
-            component_of,
-            node_components,
             morton_schedule,
             _chunk_ids,
         )
@@ -665,24 +660,10 @@ def for_each_leaf_hit(
     return result
 
 
-def _summarise(qg, leaf_values: np.ndarray, combine, out: np.ndarray) -> np.ndarray:
-    """Per-query-node summary: ``leaf_values`` seeds the leaves (in
-    ``qg.leaf_order``) and ``combine(child0, child1)`` folds them
-    bottom-up over the query BVH's levels into ``out``."""
-    out[qg.leaf_order] = leaf_values
-    for lvl_lo, lvl_hi in reversed(qg.levels):
-        out[lvl_lo:lvl_hi] = combine(
-            out[qg.child0[lvl_lo:lvl_hi]], out[qg.child1[lvl_lo:lvl_hi]]
-        )
-    return out
-
-
 def _dual_leaf_hits(
     tree: BVH,
     queries: np.ndarray,
-    eps: float | np.ndarray,
-    eps2: float,
-    q_eps2: np.ndarray | None,
+    eps: float,
     callback: LeafCallback,
     mask_positions: np.ndarray | None,
     finished_fn: Callable[[np.ndarray], np.ndarray] | None,
@@ -690,9 +671,6 @@ def _dual_leaf_hits(
     kernel_name: str,
     leaf_test_is_distance: bool,
     chunk_size: int,
-    group_size: int,
-    component_of: np.ndarray | None = None,
-    node_components: np.ndarray | None = None,
     morton_schedule: np.ndarray | None = None,
     _chunk_ids: np.ndarray | None = None,
 ) -> TraversalResult:
@@ -742,26 +720,10 @@ def _dual_leaf_hits(
     Query-side scratch (sorted chunk coordinates, the query BVH, the
     finished double-buffer) is charged to the memory model under the
     ``"qgroups"`` tag; the frontier itself stays under ``"frontier"``.
-
-    Component masking extends the reach predicate with "``node``'s
-    subtree is not uniform in ``q``'s component": query nodes carry a
-    uniform-component summary (seeded at the query leaves by the same
-    reduceat the AABBs use and combined bottom-up over the query BVH's
-    levels), so a (query node, tree node) pair whose components provably
-    coincide is pruned in one comparison, and the per-member leaf test
-    applies the exact leaf-vs-query component check the single engine
-    applies.
-
-    Per-query radii (``q_eps2``, one squared radius per query id) extend
-    the same argument: every group-level test — the pair prune, the seed,
-    the "near" leaf classification — uses the query node's *largest*
-    member radius, so it never drops a pair some member reaches; the
-    "every member hits" shortcuts use the chunk's *smallest*; and every
-    per-member test uses the member's own radius, the single engine's
-    predicate.
     """
     m = queries.shape[0]
     n_int = tree.n_internal
+    eps2 = eps * eps
     result = TraversalResult()
     leaf_counter = "distance_evals" if leaf_test_is_distance else "box_tests"
     if _chunk_ids is not None:
@@ -803,33 +765,15 @@ def _dual_leaf_hits(
                 if mask_positions is not None:
                     chunk_mask = qpool.take("chunk_mask", cn)
                     np.take(mask_positions, chunk_ids, out=chunk_mask)
-                chunk_comp = None
-                if component_of is not None:
-                    chunk_comp = qpool.take("chunk_comp", cn)
-                    np.take(component_of, chunk_ids, out=chunk_comp)
-                # Per-query squared radii: m_e2 per chunk member, the
-                # chunk's smallest (all_e2, for the "every member hits"
-                # shortcuts) and g_max per query node once the query BVH
-                # exists.  The query BVH's leaf rule sees every radius.
-                chunk_eps, all_e2 = eps, eps2
-                if q_eps2 is not None:
-                    m_e2 = qpool.take("chunk_eps2", cn, dtype=np.float64)
-                    np.take(q_eps2, chunk_ids, out=m_e2)
-                    chunk_eps = eps[chunk_ids]
-                    all_e2 = float(m_e2.min())
 
                 if n_int == 0:
                     # Single-leaf tree: mirror the single engine's one
                     # seed-and-deliver step (seed test uncounted).
                     clamped = np.clip(chunk_pts, node_lo[root], node_hi[root])
                     diff = chunk_pts - clamped
-                    ok = np.einsum("nd,nd->n", diff, diff) <= (
-                        eps2 if q_eps2 is None else m_e2
-                    )
+                    ok = np.einsum("nd,nd->n", diff, diff) <= eps2
                     if chunk_mask is not None:
                         ok &= node_rng_hi[root] > chunk_mask
-                    if chunk_comp is not None:
-                        ok &= node_components[root] != chunk_comp
                     if finished_fn is not None:
                         ok &= ~finished_fn(chunk_ids)
                     n_hits = int(np.count_nonzero(ok))
@@ -843,32 +787,9 @@ def _dual_leaf_hits(
                     continue
 
                 qg = build_query_bvh(
-                    chunk_pts, chunk_mask, group_size, chunk_eps, qpool
+                    chunk_pts, chunk_mask, DEFAULT_GROUP_SIZE, eps, qpool
                 )
                 n_qinner = qg.n_inner
-                lstarts = qg.mem_lo[qg.leaf_order]
-                if q_eps2 is not None:
-                    g_max = _summarise(
-                        qg,
-                        np.maximum.reduceat(m_e2, lstarts),
-                        np.maximum,
-                        qpool.take("g_max", qg.n_nodes, dtype=np.float64),
-                    )
-
-                # Uniform-component summary per query node (-1 = mixed):
-                # the component analogue of the node AABB.  Seeded at the
-                # leaves (which tile the chunk, so one reduceat covers
-                # them) and combined bottom-up over the BVH's levels.
-                ucomp = None
-                if chunk_comp is not None:
-                    lmin = np.minimum.reduceat(chunk_comp, lstarts)
-                    lmax = np.maximum.reduceat(chunk_comp, lstarts)
-                    ucomp = _summarise(
-                        qg,
-                        np.where(lmin == lmax, lmin, -1),
-                        lambda c0, c1: np.where(c0 == c1, c0, -1),
-                        qpool.take("ucomp", qg.n_nodes),
-                    )
 
                 fin_prev = fin_now = cumfin = None
                 if finished_fn is not None:
@@ -885,14 +806,9 @@ def _dual_leaf_hits(
                     0.0,
                     np.maximum(node_lo[root] - qg.hi[top], qg.lo[top] - node_hi[root]),
                 )
-                okt = np.einsum("nd,nd->n", gap, gap) <= (
-                    eps2 if q_eps2 is None else g_max[top]
-                )
+                okt = np.einsum("nd,nd->n", gap, gap) <= eps2
                 if chunk_mask is not None:
                     okt &= node_rng_hi[root] > qg.mask_min[top]
-                if ucomp is not None:
-                    uct = ucomp[top]
-                    okt &= ~((uct >= 0) & (uct == node_components[root]))
                 size = int(np.count_nonzero(okt))
                 fr_g = pool.take("fr_g", size, dtype=np.int32)
                 fr_n = pool.take("fr_n", size, dtype=ndt)
@@ -985,19 +901,13 @@ def _dual_leaf_hits(
                         if chunk_mask is not None:
                             vis = node_rng_hi[e_n][seg] > chunk_mask[mpos]
                             live = vis if live is None else live & vis
-                        if chunk_comp is not None:
-                            # A member whose component fills this node's
-                            # subtree never reached it in the single
-                            # engine — drop it from the parent re-test.
-                            cok = node_components[e_n][seg] != chunk_comp[mpos]
-                            live = cok if live is None else live & cok
                         # Admission guarantees mindist(group, node) <= eps;
                         # when even the farthest member corner is within
                         # eps, every member reaches — no per-member test.
                         far = np.maximum(
                             node_hi[e_n] - qg.lo[e_g], qg.hi[e_g] - node_lo[e_n]
                         )
-                        allin = np.einsum("nd,nd->n", far, far) <= all_e2
+                        allin = np.einsum("nd,nd->n", far, far) <= eps2
                         reach = allin[seg] if live is None else allin[seg] & live
                         need = ~allin[seg]
                         if live is not None:
@@ -1007,9 +917,7 @@ def _dual_leaf_hits(
                             pn = e_n[seg[ridx]]
                             pts_r = chunk_pts[mpos[ridx]]
                             d = pts_r - np.clip(pts_r, node_lo[pn], node_hi[pn])
-                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= (
-                                eps2 if q_eps2 is None else m_e2[mpos[ridx]]
-                            )
+                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= eps2
                         dev.counters.add(
                             "box_tests",
                             mpos.shape[0] if live is None
@@ -1020,13 +928,6 @@ def _dual_leaf_hits(
                             if not lk.any():
                                 continue
                             take = lk[seg] & reach
-                            if chunk_comp is not None:
-                                # Leaf-vs-member component check — the
-                                # exact gate the single engine applies
-                                # before testing a leaf child (a leaf's
-                                # component is always uniform).
-                                lcomp = node_components[ch[sel, k]]
-                                take &= lcomp[seg] != chunk_comp[mpos]
                             idx = np.flatnonzero(take)
                             dev.counters.add(leaf_counter, idx.shape[0])
                             if idx.shape[0] == 0:
@@ -1042,13 +943,11 @@ def _dual_leaf_hits(
                                 0.0,
                                 np.maximum(lo_k - qg.hi[e_g], qg.lo[e_g] - hi_k),
                             )
-                            near = np.einsum("nd,nd->n", gapl, gapl) <= (
-                                eps2 if q_eps2 is None else g_max[e_g]
-                            )
+                            near = np.einsum("nd,nd->n", gapl, gapl) <= eps2
                             farl = np.maximum(
                                 hi_k - qg.lo[e_g], qg.hi[e_g] - lo_k
                             )
-                            allhit = np.einsum("nd,nd->n", farl, farl) <= all_e2
+                            allhit = np.einsum("nd,nd->n", farl, farl) <= eps2
                             sidx = seg[idx]
                             hit = allhit[sidx]
                             sub = np.flatnonzero((near & ~allhit)[sidx])
@@ -1059,9 +958,7 @@ def _dual_leaf_hits(
                                 dd = lpts - np.clip(
                                     lpts, node_lo[leaf_n], node_hi[leaf_n]
                                 )
-                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= (
-                                    eps2 if q_eps2 is None else m_e2[mpos[li]]
-                                )
+                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= eps2
                             if chunk_mask is not None:
                                 hit &= crng[sel, k][sidx] > chunk_mask[mpos[idx]]
                             if finished_fn is not None:
@@ -1134,16 +1031,9 @@ def _dual_leaf_hits(
                     dev.counters.add(
                         "box_tests_saved", int(np.maximum(lcount - 1, 0).sum())
                     )
-                    keep = d2g <= (eps2 if q_eps2 is None else g_max[cand_q])
+                    keep = d2g <= eps2
                     if chunk_mask is not None:
                         keep &= cand_rng > qg.mask_min[cand_q]
-                    if ucomp is not None:
-                        # Prune a (query node, tree node) pair whose
-                        # components provably coincide: both uniform and
-                        # equal means every member/leaf pair below is
-                        # same-component.
-                        ucq = ucomp[cand_q]
-                        keep &= ~((ucq >= 0) & (ucq == node_components[cand_n]))
                     size = int(np.count_nonzero(keep))
                     fr_g = pool.take("fr_g", size, dtype=np.int32)
                     fr_n = pool.take("fr_n", size, dtype=ndt)
@@ -1167,7 +1057,6 @@ def count_within(
     leaf_weights: np.ndarray | None = None,
     query_order: str = "input",
     traversal: str = "single",
-    group_size: int | None = None,
     watchdog: Callable[[], None] | None = None,
     morton_schedule: np.ndarray | None = None,
     cost_model=None,
@@ -1249,7 +1138,6 @@ def count_within(
         chunk_size=chunk_size,
         query_order=query_order,
         traversal=traversal,
-        group_size=group_size,
         watchdog=watchdog,
         morton_schedule=morton_schedule,
         cost_model=cost_model,

@@ -173,6 +173,12 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
     elif args.algorithm.lower() == "hdbscan":
         from repro.hierarchy import hdbscan
 
+        if "traversal" in trav_kwargs:
+            raise SystemExit(
+                "--traversal does not apply to --algorithm hdbscan: its "
+                "per-query-radius and component-masked searches always run "
+                "the single engine"
+            )
         if tracer is not None:
             device.tracer = tracer
         result = hdbscan(
@@ -187,8 +193,8 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
         if trav_kwargs and args.algorithm.lower() not in _TREE_ALGORITHMS:
             raise SystemExit(
                 f"--query-order/--traversal only apply to the tree algorithms "
-                f"({', '.join(sorted(_TREE_ALGORITHMS))}, hdbscan) or --ranks "
-                f"runs; got --algorithm {args.algorithm}"
+                f"({', '.join(sorted(_TREE_ALGORITHMS))}; --query-order also "
+                f"to hdbscan) or --ranks runs; got --algorithm {args.algorithm}"
             )
         if tracer is not None:
             device.tracer = tracer
@@ -345,11 +351,11 @@ def _cmd_bench(args) -> int:
         print(f"cost model written to {args.fit_cost_model}")
     trace_meta = _write_trace(args, tracer)
     if args.save:
-        from repro.bench.history import save_records
+        from repro.bench.history import host_facts, save_records
 
         # the argv main() actually parsed — replayable by bench.smoke even
         # when main() is invoked programmatically (sys.argv would lie then)
-        meta = {"argv": getattr(args, "argv", sys.argv[1:])}
+        meta = {"argv": getattr(args, "argv", sys.argv[1:]), "host": host_facts()}
         if trace_meta is not None:
             meta["trace"] = trace_meta
         save_records(args.save, records, meta=meta)
@@ -552,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
             "keeps one frontier row per query, 'dual' prunes query-BVH "
             "groups against each node in one box test, 'auto' picks the "
             "engine per chunk from the fitted cost model (identical "
-            "labels and distance counts in every mode)"
+            "labels and distance counts in every mode; hdbscan always runs "
+            "single)"
             + ("; 'both' runs the sweep once per engine, auto included"
                if both else ""),
         )

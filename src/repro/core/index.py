@@ -134,7 +134,8 @@ class DBSCANIndex:
     traversal:
         Stored traversal-engine preference (``"single"``/``"dual"``/
         ``"auto"``) applied by runs that pass ``traversal=None``; an
-        explicit per-call ``traversal=`` always wins.  A pure scheduling
+        explicit per-call ``traversal=`` always wins.  HDBSCAN runs
+        ignore it (their searches run the single engine).  A pure scheduling
         choice — the cached structures are engine-independent, so one
         index serves every engine.
     cost_model:

@@ -32,11 +32,9 @@ class HDBSCAN(BaseEstimator):
     mst_algorithm:
         ``"boruvka"`` (BVH-accelerated, default) or ``"prim"`` (O(n²)
         reference); identical dendrogram heights up to tie-permutation.
-    traversal:
-        ``"single"``/``"dual"`` wavefront engine for the core-distance
-        and Borůvka traversals; ``None`` = engine default.
     query_order:
-        ``"input"`` or ``"morton"`` traversal scheduling.
+        ``"input"`` or ``"morton"`` traversal scheduling (the
+        core-distance and Borůvka traversals run the single engine).
     device:
         Optional :class:`~repro.device.Device` for counters/tracing.
 
@@ -63,7 +61,6 @@ class HDBSCAN(BaseEstimator):
         "allow_single_cluster": [bool],
         "metric": [StrOptions({"euclidean"})],
         "mst_algorithm": [StrOptions({"boruvka", "prim"})],
-        "traversal": [StrOptions({"single", "dual"}), None],
         "query_order": [StrOptions({"input", "morton"})],
         "device": [Device, None],
     }
@@ -75,7 +72,6 @@ class HDBSCAN(BaseEstimator):
         allow_single_cluster: bool = False,
         metric: str = "euclidean",
         mst_algorithm: str = "boruvka",
-        traversal: str | None = None,
         query_order: str = "input",
         device: Device | None = None,
     ):
@@ -84,7 +80,6 @@ class HDBSCAN(BaseEstimator):
         self.allow_single_cluster = allow_single_cluster
         self.metric = metric
         self.mst_algorithm = mst_algorithm
-        self.traversal = traversal
         self.query_order = query_order
         self.device = device
 
@@ -99,7 +94,6 @@ class HDBSCAN(BaseEstimator):
             allow_single_cluster=self.allow_single_cluster,
             device=self.device,
             mst_algorithm=self.mst_algorithm,
-            traversal=self.traversal,
             query_order=self.query_order,
         )
         X = np.asarray(X, dtype=np.float64)

@@ -75,7 +75,6 @@ def _component_nearest(
     dev: Device,
     chunk_size: int | None,
     query_order: str,
-    traversal: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-point nearest *other-component* neighbour under mutual
     reachability, minimised by the strict order ``(w, min(a,b), max(a,b))``.
@@ -183,7 +182,6 @@ def _component_nearest(
             kernel_name="boruvka_nn",
             chunk_size=chunk_size,
             query_order=query_order,
-            traversal=traversal,
             component_of=rcomp,
             node_components=node_comp,
         )
@@ -208,7 +206,6 @@ def mutual_reachability_mst_boruvka(
     core_dist: np.ndarray,
     tree: BVH | None = None,
     device: Device | None = None,
-    traversal: str = "single",
     query_order: str = "input",
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
@@ -229,8 +226,9 @@ def mutual_reachability_mst_boruvka(
         Optional prebuilt point-leaf BVH over ``X`` (e.g. from
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
         omitted.
-    traversal / query_order / chunk_size:
-        Scheduling knobs forwarded to the wavefront engine; the MST is
+    query_order / chunk_size:
+        Scheduling knobs forwarded to the wavefront engine (which runs
+        component-masked sweeps on its single engine); the MST is
         identical for every setting.  The ``boruvka_nn`` work counters
         are not: the component bound that stops a query is fed by other
         queries' hits, so launches, ``distance_evals`` and ``box_tests``
@@ -299,7 +297,6 @@ def mutual_reachability_mst_boruvka(
                 dev,
                 chunk_size,
                 query_order,
-                traversal,
             )
             radius = np.where(best_b >= 0, best_w, cov)
             # Points stopped by the component bound may hold no candidate

@@ -10,6 +10,9 @@ points are connected through MST edges of weight ``<= eps``.  By the
 minimax-path property of the MST this is *exactly* DBSCAN* (Campello et
 al. 2013) — the fact the test suite uses to cross-validate the hierarchy
 against the flat implementation built on the paper's framework.
+
+Both BVH traversals — the core-distance gather at per-query radii and
+Borůvka's component-masked sweeps — run the single wavefront engine.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ def _mreach_mst(
     tree,
     mst_algorithm: str,
     dev: Device,
-    traversal: str,
     query_order: str,
 ) -> np.ndarray:
     """Dispatch to the requested mutual-reachability MST engine.
@@ -56,7 +58,6 @@ def _mreach_mst(
             core,
             tree=tree,
             device=dev,
-            traversal=traversal,
             query_order=query_order,
         )
     if mst_algorithm == "prim":
@@ -155,7 +156,6 @@ def hdbscan(
     allow_single_cluster: bool = False,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> HDBSCANResult:
@@ -176,15 +176,14 @@ def hdbscan(
         ``"boruvka"`` (BVH-accelerated, the default) or ``"prim"`` (O(n²)
         reference).  Both yield identical dendrogram heights up to
         tie-permutation.
-    traversal:
-        ``"single"``/``"dual"``/``"auto"`` wavefront engine for the
-        core-distance and Borůvka traversals; ``None`` defers to the
-        index's stored preference (default ``"single"``).
     query_order:
-        ``"input"`` or ``"morton"`` traversal scheduling.
+        ``"input"`` or ``"morton"`` traversal scheduling.  The
+        core-distance and Borůvka traversals search per-query radii and
+        component masks, so they always run the single engine.
     index:
         Prebuilt :class:`~repro.core.index.DBSCANIndex` over ``X``; its
-        points tree is reused so a sweep shares one build.
+        points tree is reused so a sweep shares one build (its stored
+        ``traversal`` preference does not apply here).
     """
     X = validate_points(X)
     if min_cluster_size < 2:
@@ -203,18 +202,9 @@ def hdbscan(
     else:
         index.check_points(X)
     tree, reused = index.points_tree(dev)
-    if traversal is None:
-        traversal = index.traversal or "single"
-    core = core_distances(
-        tree,
-        X,
-        min_samples,
-        device=dev,
-        query_order=query_order,
-        traversal=traversal,
-    )
+    core = core_distances(tree, X, min_samples, device=dev, query_order=query_order)
     t1 = time.perf_counter()
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
     Z = single_linkage_dendrogram(mst, n)
     t2 = time.perf_counter()
     condensed = condense_dendrogram(Z, n, min_cluster_size)
@@ -227,7 +217,6 @@ def hdbscan(
         "min_cluster_size": min_cluster_size,
         "min_samples": min_samples,
         "mst_algorithm": mst_algorithm,
-        "traversal": traversal,
         "index": index,
         "index_reused": reused,
         "t_core": t1 - t0,
@@ -250,7 +239,6 @@ def dbscan_star_cut(
     min_samples: int,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> np.ndarray:
@@ -271,17 +259,8 @@ def dbscan_star_cut(
     else:
         index.check_points(X)
     tree, _ = index.points_tree(dev)
-    if traversal is None:
-        traversal = index.traversal or "single"
-    core = core_distances(
-        tree,
-        X,
-        min_samples,
-        device=dev,
-        query_order=query_order,
-        traversal=traversal,
-    )
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
+    core = core_distances(tree, X, min_samples, device=dev, query_order=query_order)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
 
     eligible = core <= eps  # DBSCAN* core points
     uf = EclUnionFind(n, device=dev)

@@ -564,10 +564,8 @@ class ClusteringService:
                 # knn has no weaker exact form below `single`; shed it
                 # rather than fake it.
                 raise _LadderShed()
-            traversal = "single" if rung == "single" else (req.traversal or "single")
             result = index.knn(
-                req.k, queries=req.points, device=self.device,
-                traversal=traversal, watchdog=watchdog,
+                req.k, queries=req.points, device=self.device, watchdog=watchdog,
             )
             return result, None if rung == "full" else "single"
 

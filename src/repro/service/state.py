@@ -382,7 +382,6 @@ class ServiceIndex:
         k: int,
         queries: np.ndarray | None = None,
         device: Device | None = None,
-        traversal: str = "single",
         watchdog=None,
     ) -> dict:
         """Distance to each query's ``k``-th nearest live point.
@@ -404,7 +403,6 @@ class ServiceIndex:
             int(k),
             device=device,
             points=self.slot_points,
-            traversal=traversal,
             watchdog=watchdog,
         )
         return {"radii": [round(float(r), 12) for r in radii], "n_points": int(queries.shape[0])}

@@ -97,19 +97,6 @@ class TestAutoParity:
             == res.info["auto"]["single_chunks"] + res.info["auto"]["dual_chunks"]
         )
 
-    def test_per_query_radii_chunks(self):
-        # neighbour-scale per-query radii (the kNN gather) and
-        # component-masked chunks (Borůvka) are where the dual engine
-        # loses: auto must run both on single
-        from repro.hierarchy import hdbscan
-
-        X = _clustered(n=1200)
-        dev = Device()
-        hdbscan(X, min_cluster_size=10, device=dev, traversal="auto")
-        extra = dev.counters.extra
-        assert extra.get("auto_dual_chunks", 0) == 0
-        assert extra["auto_single_chunks"] >= dev.profile()["boruvka_nn"]["launches"] + 1
-
 
 class TestAutoDeterminism:
     def test_same_inputs_same_decisions(self):

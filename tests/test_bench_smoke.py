@@ -115,6 +115,26 @@ class TestRunSmoke:
         out = capsys.readouterr().out
         assert "no wall, rate, status or result regressions" in out
 
+    def test_host_facts_saved_and_printed(self, baseline, capsys):
+        _, meta = load_records(baseline)
+        host = meta["host"]
+        assert host["nproc"] >= 1
+        assert host["python"] and host["numpy"]
+        assert {"cpu", "scipy", "git_sha"} <= set(host)
+        run_smoke(baseline, wall_threshold=50.0, rate_threshold=1.25)
+        out = capsys.readouterr().out
+        assert f"baseline host: nproc={host['nproc']}" in out
+        assert "current host : nproc=" in out
+
+    def test_baseline_without_host_prints_unrecorded(self, baseline, capsys):
+        with open(baseline) as fh:
+            payload = json.load(fh)
+        del payload["meta"]["host"]
+        with open(baseline, "w") as fh:
+            json.dump(payload, fh)
+        run_smoke(baseline, wall_threshold=50.0, rate_threshold=1.25)
+        assert "baseline host: unrecorded" in capsys.readouterr().out
+
     def test_saved_argv_is_replayable(self, baseline):
         # main() was called programmatically; the recorded argv must be the
         # bench argv, not the host process's sys.argv.

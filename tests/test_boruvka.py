@@ -4,11 +4,14 @@ The exchange property guarantees every MST of a graph has the same sorted
 weight multiset, and this repository's Borůvka breaks weight ties by the
 strict total order ``(w, min(a, b), max(a, b))`` — so the tests can (and
 do) demand *bit-equality*: identical sorted weights, identical
-single-linkage dendrogram heights, identical edge sets across traversal
-engines and scheduling knobs.  The pruning claim is asserted directly on
-the kernel counters: the Borůvka traversal's distance evaluations must
-stay a small fraction of Prim's unconditional ``n * (n - 1)``.
+single-linkage dendrogram heights, identical edge sets across scheduling
+knobs and whatever engine the wavefront is asked for.  The pruning claim
+is asserted directly on the kernel counters: the Borůvka traversal's
+distance evaluations must stay a small fraction of Prim's unconditional
+``n * (n - 1)``.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -56,6 +59,20 @@ def _normalised_edges(mst):
     u, v = np.minimum(a, b), np.maximum(a, b)
     rows = np.column_stack([w, u, v])
     return rows[np.lexsort((v, u, w))]
+
+
+def _request_engine(monkeypatch, traversal):
+    """Ask the wavefront for ``traversal`` on every Borůvka sweep.  The
+    MST API has no engine knob: its component-masked sweeps run the
+    single engine whatever is requested, so every request must yield the
+    same edges."""
+    from repro.hierarchy import boruvka
+
+    monkeypatch.setattr(
+        boruvka,
+        "for_each_leaf_hit",
+        functools.partial(boruvka.for_each_leaf_hit, traversal=traversal),
+    )
 
 
 def _both_msts(X, minpts, **boruvka_kwargs):
@@ -117,14 +134,14 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("traversal", ["single", "dual"])
     @pytest.mark.parametrize("query_order", ["input", "morton"])
-    def test_scheduling_invariance(self, rng, traversal, query_order):
+    def test_scheduling_invariance(self, rng, traversal, query_order, monkeypatch):
         X = _clustered(rng, 140)
         tree = _tree_over(X)
         core = core_distances(tree, X, 5)
         base = mutual_reachability_mst_boruvka(X, core, tree=tree)
+        _request_engine(monkeypatch, traversal)
         got = mutual_reachability_mst_boruvka(
-            X, core, tree=tree, traversal=traversal,
-            query_order=query_order, chunk_size=64,
+            X, core, tree=tree, query_order=query_order, chunk_size=64,
         )
         np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
@@ -286,11 +303,10 @@ class TestStrictOrderEdgeSet:
 
     @pytest.mark.parametrize("chunk_size", [64, None])
     @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
-    def test_edge_set_equals_kruskal(self, tie_heavy, traversal, chunk_size):
+    def test_edge_set_equals_kruskal(self, tie_heavy, traversal, chunk_size, monkeypatch):
         X, tree, core, want = tie_heavy
-        got = mutual_reachability_mst_boruvka(
-            X, core, tree=tree, traversal=traversal, chunk_size=chunk_size
-        )
+        _request_engine(monkeypatch, traversal)
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree, chunk_size=chunk_size)
         np.testing.assert_array_equal(_normalised_edges(got), want)
 
 

@@ -363,6 +363,42 @@ class TestPerQueryRadii:
             np.testing.assert_array_equal(p0, p1)
         assert c0 == c1
 
+    @pytest.mark.parametrize("routed", ["radii", "components"])
+    def test_dual_and_auto_route_to_single(self, routed):
+        # Non-uniform radii and component masks run the single engine
+        # whatever ``traversal`` says: same batches, same counters, and
+        # no dual or auto bookkeeping.
+        if routed == "radii":
+            eps, kw = self.RADII, {}
+        else:
+            eps = 0.07
+            kw = dict(component_of=self.QCOMP, node_components=self._node_components())
+        runs = {}
+        for traversal in ("single", "dual", "auto"):
+            dev = Device()
+            batches = []
+            for_each_leaf_hit(
+                self.TREE, self.QUERIES, eps,
+                lambda q, pos: batches.append((q.copy(), pos.copy())),
+                device=dev, chunk_size=64, traversal=traversal, **kw,
+            )
+            work = {
+                name: (row["launches"], row["threads"], row["steps"], row["counters"])
+                for name, row in dev.profile().items()
+            }
+            runs[traversal] = (batches, work, dev.counters.snapshot())
+        b0, p0, _ = runs["single"]
+        assert len(b0) > 0
+        for traversal in ("dual", "auto"):
+            batches, profile, snap = runs[traversal]
+            assert len(batches) == len(b0)
+            for (q0, pos0), (q1, pos1) in zip(b0, batches):
+                np.testing.assert_array_equal(q0, q1)
+                np.testing.assert_array_equal(pos0, pos1)
+            assert profile == p0
+            assert "group_box_tests" not in snap
+            assert not [k for k in snap if k.startswith("auto_") and k.endswith("_chunks")]
+
     @pytest.mark.parametrize(
         "bad",
         [

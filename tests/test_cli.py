@@ -86,6 +86,38 @@ class TestClusterCommand:
         assert rc == 0
         assert "mst_algorithm : prim" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["dual", "auto"])
+    def test_cluster_hdbscan_rejects_traversal(self, points_file, engine):
+        with pytest.raises(SystemExit, match="--traversal does not apply"):
+            main(
+                [
+                    "cluster", points_file, "--minpts", "5",
+                    "--algorithm", "hdbscan", "--traversal", engine,
+                ]
+            )
+
+    def test_cluster_hdbscan_passes_query_order(self, points_file, monkeypatch):
+        import repro.hierarchy
+
+        seen = {}
+        real = repro.hierarchy.hdbscan
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.hierarchy, "hdbscan", spy)
+        rc = main(
+            [
+                "cluster", points_file, "--minpts", "5",
+                "--algorithm", "hdbscan", "--query-order", "morton",
+                "--traversal", "single",
+            ]
+        )
+        assert rc == 0
+        assert seen["query_order"] == "morton"
+        assert "traversal" not in seen
+
     def test_counters_flag(self, points_file, capsys):
         main(
             [

@@ -144,11 +144,12 @@ class TestTraversalParity:
         np.testing.assert_array_equal(dp[order_d], sp[order_s])
         assert dc["distance_evals"] == sc["distance_evals"]
 
-    def test_group_size_one_degenerates_to_per_query(self, rng):
+    def test_group_size_one_degenerates_to_per_query(self, rng, monkeypatch):
+        monkeypatch.setattr("repro.bvh.traversal.DEFAULT_GROUP_SIZE", 1)
         X = clustered_points(rng, 300, 2)
         tree = point_tree(X)
         single = count_within(tree, X, 0.12, traversal="single")
-        dual = count_within(tree, X, 0.12, traversal="dual", group_size=1)
+        dual = count_within(tree, X, 0.12, traversal="dual")
         np.testing.assert_array_equal(dual, single)
 
     def test_invalid_traversal_rejected(self, rng):
@@ -181,40 +182,6 @@ class TestPruning:
         assert dual_total <= 0.7 * single_total
         assert d.get("group_box_tests", 0) > 0
         assert d.get("box_tests_saved", 0) > 0
-
-    def test_dual_prunes_per_query_radii(self, rng):
-        # kNN radii sit at neighbour scale, far below a 32-member group's
-        # extent: the per-member leaf rule keeps query groups within
-        # their members' radii so group tests still pay off.
-        from repro.bvh.knn import knn_radii
-
-        X = clustered_points(rng, 2000, 2)
-        tree = point_tree(X)
-        work = {}
-        for traversal in ("single", "dual"):
-            dev = Device(name=f"knn-{traversal}")
-            knn_radii(tree, X, 5, device=dev, traversal=traversal)
-            c = dev.profile()["knn_gather"]["counters"]
-            work[traversal] = (
-                c.get("box_tests", 0) + c.get("group_box_tests", 0) + c["nodes_visited"]
-            )
-        assert work["dual"] <= 0.7 * work["single"]
-
-    def test_per_member_leaf_rule(self, rng):
-        from repro.bvh.qgroups import build_query_bvh
-        from repro.bvh.traversal import _FrontierPool, query_schedule
-
-        X = clustered_points(rng, 600, 2)
-        pts = X[query_schedule(X, "morton")]
-        radii = rng.uniform(0.0, 0.2, pts.shape[0])
-        qg = build_query_bvh(pts, None, 32, radii, _FrontierPool(Device(), 2))
-        leaves = np.arange(qg.n_inner, qg.n_nodes)
-        for leaf in leaves:
-            lo, hi = qg.mem_lo[leaf], qg.mem_hi[leaf]
-            assert hi - lo == 1 or (
-                hi - lo <= 32 and qg.ext[leaf] <= radii[lo:hi].min()
-            )
-        assert (qg.mem_hi[leaves] - qg.mem_lo[leaves]).max() > 1
 
     def test_single_engine_has_no_group_counters(self, rng):
         X = clustered_points(rng, 300, 2)

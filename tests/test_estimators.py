@@ -247,11 +247,9 @@ class TestHDBSCANFit:
 
     def test_knob_passthrough_reaches_info(self, blobs):
         est = HDBSCAN(
-            min_cluster_size=10, mst_algorithm="prim", traversal="dual",
-            query_order="morton",
+            min_cluster_size=10, mst_algorithm="prim", query_order="morton",
         ).fit(blobs)
         assert est.result_.info["mst_algorithm"] == "prim"
-        assert est.result_.info["traversal"] == "dual"
 
     def test_n_features_in(self, rng):
         X = rng.normal(size=(50, 3))

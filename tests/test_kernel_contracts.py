@@ -3,11 +3,14 @@
 ``docs/gpu-model.md`` ("Invariance contracts per kernel") states, for
 every traversal kernel, which of its outputs are identical across the
 three scheduling axes — traversal engine, chunk size and query order —
-and which are not.  :data:`CONTRACT` below is that table: each kernel
+and which are not.  ``knn_gather`` and ``boruvka_nn`` search per-query
+radii (Borůvka also under a component mask), which always run the single
+engine: their callers take no engine knob, so their engine cells request
+the engine at the wavefront itself and every column must match single.  :data:`CONTRACT` below is that table: each kernel
 maps a column to the set of axes it is invariant over, and the one
 parametrised test asserts every claimed cell and nothing else.  A
 column absent for an axis is *not* claimed (``box_tests`` across
-engines, every ``boruvka_nn`` counter, ...).
+engines, every ``boruvka_nn`` counter across chunking and order, ...).
 
 Columns:
 
@@ -56,10 +59,18 @@ CONTRACT = {
         "result": ALL,
         "hits": frozenset({"engine", "order"}),
         "distance_evals": ALL,
-        "box_tests": CHUNK_ORDER,
+        "box_tests": ALL,
     }),
-    "boruvka_nn": ("boruvka", {"result": ALL}),
+    "boruvka_nn": ("boruvka", {
+        "result": ALL,
+        "hits": frozenset({"engine"}),
+        "distance_evals": frozenset({"engine"}),
+        "box_tests": frozenset({"engine"}),
+    }),
 }
+
+#: Runners whose callers take no ``traversal`` knob (single engine only).
+SINGLE_ENGINE_ONLY = {"knn", "boruvka"}
 
 BASE = {"traversal": "single", "chunk_size": 256, "query_order": "input"}
 VARIANTS = {
@@ -129,10 +140,11 @@ _CALLERS = (
 
 
 @contextmanager
-def _record_hits(sink: dict):
+def _record_hits(sink: dict, engine: str | None = None):
     """Record every top-level traversal's delivered ``(query, leaf)``
     batches into ``sink[kernel_name]`` (one list per launch).  Nested
-    calls — the auto dispatcher's per-chunk recursion — pass through."""
+    calls — the auto dispatcher's per-chunk recursion — pass through.
+    A given ``engine`` is requested on every top-level call."""
     from repro.bvh import traversal
 
     original = traversal.for_each_leaf_hit
@@ -141,6 +153,8 @@ def _record_hits(sink: dict):
     def recording(tree, queries, eps, callback, *args, kernel_name="bvh_traverse", **kw):
         cb = callback
         if depth[0] == 0:
+            if engine is not None:
+                kw["traversal"] = engine
             launch: list = []
             sink.setdefault(kernel_name, []).append(launch)
 
@@ -182,7 +196,11 @@ def _observe(runner: str, knobs: dict) -> dict:
     if key not in _RUNS:
         dev = Device()
         hits: dict = {}
-        with _record_hits(hits):
+        engine = None
+        if runner in SINGLE_ENGINE_ONLY:
+            knobs = dict(knobs)
+            engine = knobs.pop("traversal")
+        with _record_hits(hits, engine):
             result = RUNNERS[runner](dev, **knobs)
         _RUNS[key] = {
             "result": result,
